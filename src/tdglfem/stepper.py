@@ -280,7 +280,8 @@ def step_A(state: SimulationState, params: SchemeParams, tau: float, t_n: float)
     """Backward-Euler vector-potential substep; returns the new dof vector.
 
     The previous iterate warm-starts the conjugate gradient solve, which the
-    stopping rule (relative to the right-hand side) keeps deterministic.
+    stopping rule (relative to the right-hand side) keeps deterministic. The
+    preconditioner is the one :func:`fem.A_system_preconditioner` picks.
     """
     mesh = state.mesh
     system = fem.assemble_A_system(mesh, state.psi, params.sigma, tau)
@@ -295,7 +296,8 @@ def step_A(state: SimulationState, params: SchemeParams, tau: float, t_n: float)
         t_n,
         forcing=params.forcing_A,
     )
-    return cg_solve(system, rhs, tol=params.cg_tol, x0=state.A).x
+    precond = fem.A_system_preconditioner(mesh, params.sigma, tau)
+    return cg_solve(system, rhs, tol=params.cg_tol, x0=state.A, precond=precond).x
 
 
 def _mu_for(mesh: Mesh, A, params: SchemeParams) -> float:

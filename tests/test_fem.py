@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from tdglfem import fem
 from tdglfem.fem import (
     assemble_A_rhs,
     assemble_A_system,
@@ -22,6 +26,7 @@ from tdglfem.fem import (
     stiffness_matrix,
 )
 from tdglfem.mesh import generate_uniform_square
+from tdglfem.scenarios import holed_square_mesh, lshape_mesh, unit_square_mesh
 
 
 def consistent_mass_dense(mesh):
@@ -362,3 +367,73 @@ def test_A_rhs_forcing_term(square2):
     M = edge_mass_matrix(square2)
     unit = interpolate_edge(square2, lambda x, y: (0 * x + 1.0, 0 * y))
     np.testing.assert_allclose(forced - base, M @ unit, atol=1e-12)
+
+
+# -- curl-exact preconditioner -------------------------------------------------
+
+
+@pytest.mark.parametrize("c", [1.0, 50.5])
+def test_curl_preconditioner_inverts_P(square4, rng, c):
+    # P_c = c diag(M) + K, applied through the cell-space Woodbury solve
+    M = edge_mass_matrix(square4).toarray()
+    P = c * np.diag(np.diag(M)) + curl_curl_matrix(square4).toarray()
+    apply = fem._ops(square4).cell_space_preconditioner(c)
+    x = rng.standard_normal(len(M))
+    np.testing.assert_allclose(apply(P @ x), x, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("c", [1.0, 5.5, 50.5])
+def test_curl_preconditioner_symmetric_positive(rng, c):
+    mesh = lshape_mesh(16)
+    apply = fem._ops(mesh).cell_space_preconditioner(c)
+    n = num_edge_dofs(mesh)
+    for _ in range(3):
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        xPy, yPx = x @ apply(y), y @ apply(x)
+        assert abs(xPy - yPx) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(apply(y))
+        assert x @ apply(x) > 0
+
+
+def test_curl_preconditioner_refactors_on_new_c(square4, rng):
+    ops = fem._ops(square4)
+    x = rng.standard_normal(num_edge_dofs(square4))
+    first = ops.cell_space_preconditioner(2.0)(x)
+    ops.cell_space_preconditioner(7.0)
+    np.testing.assert_array_equal(ops.cell_space_preconditioner(2.0)(x), first)
+
+
+def test_cost_rule_choices():
+    holed = fem._ops(holed_square_mesh(8))
+    assert not holed.cell_space_pays(1 / 0.02)
+    assert not holed.cell_space_pays(1 / 0.2)
+    lshape = fem._ops(lshape_mesh(32))
+    assert lshape.cell_space_pays(1 / 0.02)
+    assert lshape.cell_space_pays(1 / 0.2)
+    for M in (8, 16, 32):
+        assert fem._ops(unit_square_mesh(M)).cell_space_pays(M)
+
+
+def test_cuthill_mckee_numbers_every_component():
+    # two paths, 0-1-2-3 and 4-5, the second listed first
+    a, b = np.array([4, 2, 0, 1]), np.array([5, 3, 1, 2])
+    pos = fem._cuthill_mckee(6, a, b)
+    assert sorted(pos) == list(range(6))
+    assert np.abs(pos[a] - pos[b]).max() == 1
+
+
+def test_cell_numbering_band_is_narrow():
+    mesh = lshape_mesh(32)
+    pos, bw = fem._ops(mesh)._cell_numbering
+    assert sorted(pos) == list(range(mesh.num_cells))
+    assert bw <= 64
+
+
+def test_ops_cache_releases_mesh():
+    mesh = generate_uniform_square(4)
+    assemble_A_system(mesh, np.ones(mesh.num_vertices, dtype=complex), sigma=1.0, tau=0.1)
+    fem.A_system_preconditioner(mesh, 1.0, 0.1)(np.ones(num_edge_dofs(mesh)))
+    assert mesh in fem._OPS_CACHE
+    ref = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert ref() is None

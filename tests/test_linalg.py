@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from tdglfem.fem import A_system_preconditioner, assemble_A_system
 from tdglfem.linalg import (
     DENSE_ORACLE_MAX_SIZE,
     PHI1_SERIES_CUTOFF,
@@ -16,6 +17,7 @@ from tdglfem.linalg import (
     phi1,
     phi_apply,
 )
+from tdglfem.scenarios import lshape_mesh
 
 
 def random_spd(n, rng):
@@ -81,6 +83,51 @@ def test_cg_result_is_dataclass(rng):
     res = cg_solve(A, np.ones(5))
     assert isinstance(res, CgResult)
     assert res.iterations >= 1
+
+
+def test_cg_exact_preconditioner_one_iteration(rng):
+    A = random_spd(20, rng)
+    inv = np.linalg.inv(A.toarray())
+    res = cg_solve(A, rng.standard_normal(20), precond=lambda r: inv @ r)
+    assert res.iterations == 1
+
+
+def a_system(M, tau, rng):
+    mesh = lshape_mesh(M)
+    n = mesh.num_vertices
+    psi = rng.uniform(0, 1, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    return mesh, assemble_A_system(mesh, psi, sigma=1.0, tau=tau)
+
+
+@pytest.mark.parametrize("preconditioned", [False, True])
+def test_cg_nan_rhs_raises_at_once(rng, preconditioned):
+    mesh, S = a_system(8, 0.1, rng)
+    precond = A_system_preconditioner(mesh, 1.0, 0.1) if preconditioned else None
+    assert (precond is not None) == preconditioned
+    rhs = rng.standard_normal(S.shape[0])
+    rhs[3] = np.nan
+    with pytest.raises(ConvergenceError, match="not finite") as err:
+        cg_solve(S, rhs, precond=precond)
+    assert err.value.iterations <= 1
+
+
+@pytest.mark.parametrize("M", [16, 32, 64])
+@pytest.mark.parametrize("tau", [0.02, 0.2])
+def test_pcg_iterations_do_not_grow_with_mesh(rng, M, tau):
+    mesh, S = a_system(M, tau, rng)
+    precond = A_system_preconditioner(mesh, 1.0, tau)
+    assert precond is not None
+    res = cg_solve(S, rng.standard_normal(S.shape[0]), precond=precond)
+    assert res.iterations <= 70
+
+
+@pytest.mark.parametrize("tau", [0.02, 0.2])
+def test_pcg_matches_jacobi(rng, tau):
+    mesh, S = a_system(16, tau, rng)
+    rhs = rng.standard_normal(S.shape[0])
+    jacobi = cg_solve(S, rhs).x
+    pcg = cg_solve(S, rhs, precond=A_system_preconditioner(mesh, 1.0, tau)).x
+    assert np.linalg.norm(pcg - jacobi) <= 1e-10 * np.linalg.norm(jacobi)
 
 
 # -- scalar phi functions ------------------------------------------------------
