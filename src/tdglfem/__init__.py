@@ -6,88 +6,9 @@ potential and a stabilized exponential step for the order parameter, with
 per-step runtime verification of energy dissipation and the unit modulus
 bound. See ``README.md`` for the command line and the config format.
 
-Submodules import lazily so the command line can configure the environment
-(thread caps) before numpy loads.
+Import from the submodules (``tdglfem.stepper``, ``tdglfem.scenarios``, ...).
+This file imports none of them, so the command line can configure the
+environment (thread caps) before numpy loads.
 """
 
 __version__ = "0.1.0"
-
-_EXPORTS = {
-    # meshes
-    "Mesh": "mesh",
-    "MeshAudit": "mesh",
-    "audit_mesh": "mesh",
-    "generate_uniform_square": "mesh",
-    "load_gmsh_ascii": "mesh",
-    "load_mesh_file": "mesh",
-    "parse_native": "mesh",
-    "format_native": "mesh",
-    # assembly
-    "lumped_mass": "fem",
-    "stiffness_matrix": "fem",
-    "edge_mass_matrix": "fem",
-    "curl_curl_matrix": "fem",
-    "assemble_Lhat": "fem",
-    "assemble_A_system": "fem",
-    "assemble_A_rhs": "fem",
-    "ritz_projection": "fem",
-    "interpolate_nodal": "fem",
-    "interpolate_edge": "fem",
-    "covariant_energy_seminorm": "fem",
-    # solvers
-    "cg_solve": "linalg",
-    "phi_apply": "linalg",
-    "dense_phi_oracle": "linalg",
-    "KrylovConfig": "linalg",
-    "ConvergenceError": "linalg",
-    # stepping
-    "AdaptiveTau": "stepper",
-    "SchemeParams": "stepper",
-    "SimulationState": "stepper",
-    "TimeSeriesRow": "stepper",
-    "initialize": "stepper",
-    "step_A": "stepper",
-    "step_psi": "stepper",
-    "choose_mu": "stepper",
-    "adaptive_tau": "stepper",
-    "run": "stepper",
-    # diagnostics
-    "EnergyBreakdown": "diagnostics",
-    "discrete_energy": "diagnostics",
-    "mbp_stats": "diagnostics",
-    "error_norms": "diagnostics",
-    "convergence_rates": "diagnostics",
-    "contraction_check": "diagnostics",
-    # scenarios and configuration
-    "ExactSolution": "scenarios",
-    "manufactured_fields": "scenarios",
-    "unit_square_mesh": "scenarios",
-    "lshape_mesh": "scenarios",
-    "holed_square_mesh": "scenarios",
-    "run_manufactured_convergence": "scenarios",
-    "RunConfig": "config",
-    "ConfigError": "config",
-    "parse_config": "config",
-    "emit_config": "config",
-    "materialize": "config",
-    "write_timeseries_csv": "output",
-    "write_vtk_snapshot": "output",
-}
-
-__all__ = sorted(_EXPORTS) + ["__version__"]
-
-
-def __getattr__(name):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value  # cache for next access
-    return value
-
-
-def __dir__():
-    return __all__

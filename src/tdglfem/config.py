@@ -16,7 +16,7 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 from .stepper import AdaptiveTau, SchemeParams
@@ -269,11 +269,10 @@ def materialize(cfg: RunConfig) -> PreparedRun:
     else:
         tau = float(tau_cfg)
     if isinstance(tau, AdaptiveTau):
-        tau = AdaptiveTau(
-            alpha=_pick(cfg.alpha, tau.alpha),
-            tau_min=_pick(cfg.tau_min, tau.tau_min),
-            tau_max=_pick(cfg.tau_max, tau.tau_max),
-        )
+        try:
+            tau = replace(tau, **{k: getattr(cfg, k) for k in adaptive_keys})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     elif adaptive_keys:
         raise ConfigError(
             f"{adaptive_keys[0]} only applies with tau = adaptive", key=adaptive_keys[0]
@@ -281,36 +280,26 @@ def materialize(cfg: RunConfig) -> PreparedRun:
 
     # scenario-specific fields -----------------------------------------
     exact = None
-    forcing_A = forcing_psi = None
-    h_stationary = None
-    if name == "manufactured":
-        exact, forcing_A, forcing_psi = scenarios.manufactured_fields(kappa, sigma)
-        H = exact.H
-        psi0 = lambda x, y: exact.psi(x, y, 0.0)  # noqa: E731
-        A0 = (lambda x, y: exact.A(x, y, 0.0), lambda x, y: exact.curl_A(x, y, 0.0))
-        h_stationary = False
-    else:
-        H = _pick(cfg.H, defaults["H"])
-        psi0 = _pick(cfg.psi0, defaults["psi0"])
-        A0 = None
-
+    policies = dict(
+        mu=mu,
+        strict_acute=cfg.strict_acute,
+        energy_check=_pick(cfg.energy_check, "warn"),
+        mbp_check=_pick(cfg.mbp_check, "warn"),
+    )
     try:
-        params = SchemeParams(
-            kappa=kappa,
-            sigma=sigma,
-            T=T,
-            tau=tau,
-            mu=mu,
-            H=H,
-            h_stationary=h_stationary,
-            psi0=psi0,
-            A0=A0,
-            forcing_A=forcing_A,
-            forcing_psi=forcing_psi,
-            strict_acute=cfg.strict_acute,
-            energy_check=_pick(cfg.energy_check, "warn"),
-            mbp_check=_pick(cfg.mbp_check, "warn"),
-        )
+        if name == "manufactured":
+            params, exact = scenarios.manufactured_params(kappa, sigma, T, tau)
+            params = replace(params, **policies)
+        else:
+            params = SchemeParams(
+                kappa=kappa,
+                sigma=sigma,
+                T=T,
+                tau=tau,
+                H=_pick(cfg.H, defaults["H"]),
+                psi0=_pick(cfg.psi0, defaults["psi0"]),
+                **policies,
+            )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

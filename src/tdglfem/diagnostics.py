@@ -26,7 +26,6 @@ __all__ = [
     "EnergyBreakdown",
     "discrete_energy",
     "mbp_stats",
-    "magnetization_cells",
     "ErrorReport",
     "error_norms",
     "convergence_rates",
@@ -48,15 +47,6 @@ class EnergyBreakdown:
         return self.covariant + self.magnetic + self.potential
 
 
-def _applied_field_at_quad(mesh: Mesh, H, t: float) -> np.ndarray:
-    qpts, wdx = fem.quadrature_info(mesh)
-    if callable(H):
-        return np.broadcast_to(
-            np.asarray(H(qpts[:, :, 0], qpts[:, :, 1], t), dtype=float), wdx.shape
-        )
-    return np.full(wdx.shape, float(H))
-
-
 def discrete_energy(mesh: Mesh, A, psi, H, t: float, kappa: float) -> EnergyBreakdown:
     """Evaluate the discrete free energy of the pair ``(psi, A)`` at time ``t``."""
     psi = np.asarray(psi, dtype=complex)
@@ -64,7 +54,7 @@ def discrete_energy(mesh: Mesh, A, psi, H, t: float, kappa: float) -> EnergyBrea
 
     _, wdx = fem.quadrature_info(mesh)
     curls = fem.curl_values(mesh, A)
-    dev = curls[:, None] - _applied_field_at_quad(mesh, H, t)
+    dev = curls[:, None] - fem._scalar_at_quad(fem._ops(mesh), H, t)
     magnetic = 0.5 * float(np.sum(wdx * dev * dev))
 
     d = fem.lumped_mass(mesh)
@@ -78,17 +68,6 @@ def mbp_stats(psi) -> tuple[float, int]:
     moduli = np.abs(np.asarray(psi, dtype=complex))
     idx = int(np.argmax(moduli))
     return float(moduli[idx]), idx
-
-
-def magnetization_cells(mesh: Mesh, A, H, t: float) -> np.ndarray:
-    """Cellwise magnetization ``(curl A - H) / (4 pi)`` (H at centroids)."""
-    curls = fem.curl_values(mesh, A)
-    if callable(H):
-        centroids = mesh.vertices[mesh.cells].mean(axis=1)
-        h = np.asarray(H(centroids[:, 0], centroids[:, 1], t), dtype=float)
-    else:
-        h = float(H)
-    return (curls - h) / (4.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +190,6 @@ def contraction_check(
     d = np.asarray(d, dtype=float)
     n = len(d)
     rng = np.random.default_rng(seed)
-    dense_rows = None  # row extraction from csr is cheap, keep sparse
 
     contraction_bad = 0
     negdef_bad = 0
@@ -220,15 +198,13 @@ def contraction_check(
     for _ in range(trials):
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         i = int(np.argmax(np.abs(u)))
-        lu_i = (Lhat.getrow(i) @ u)[0] / d[i] - mu * u[i] if hasattr(Lhat, "getrow") else (
-            Lhat[i] @ u / d[i] - mu * u[i]
-        )
-        c = float((np.conj(u[i]) * lu_i).real)
+        Lu = Lhat @ u
+        c = float((np.conj(u[i]) * (Lu[i] / d[i] - mu * u[i])).real)
         worst_c = max(worst_c, c)
         if not c < 0.0:
             contraction_bad += 1
 
-        quad = float(np.vdot(u, Lhat @ u).real)
+        quad = float(np.vdot(u, Lu).real)
         scale = max(1.0, float(np.vdot(u, d * u).real))
         worst_q = max(worst_q, quad / scale)
         if quad > slack * scale:

@@ -465,16 +465,17 @@ def assemble_A_system(mesh: Mesh, psi, sigma: float, tau: float) -> sp.csr_matri
     return ops.edge_pattern.csr_from_data(data)
 
 
-def _scalar_at_quad(ops: _MeshOps, value, t: float) -> np.ndarray:
-    """Constant or callable ``f(x, y, t)`` evaluated at the quadrature points."""
+def _scalar_at_quad(ops: _MeshOps, value, *args) -> np.ndarray:
+    """Constant or callable ``f(x, y, *args)`` evaluated at the quadrature points."""
     if callable(value):
-        out = value(ops.qpts[:, :, 0], ops.qpts[:, :, 1], t)
+        out = value(ops.qpts[:, :, 0], ops.qpts[:, :, 1], *args)
         return np.broadcast_to(np.asarray(out, dtype=float), ops.wdx.shape)
     return np.full_like(ops.wdx, float(value))
 
 
-def _vector_at_quad(ops: _MeshOps, func, t: float) -> np.ndarray:
-    fx, fy = func(ops.qpts[:, :, 0], ops.qpts[:, :, 1], t)
+def _vector_at_quad(ops: _MeshOps, func, *args) -> np.ndarray:
+    """Callable ``f(x, y, *args) -> (fx, fy)`` evaluated at the quadrature points."""
+    fx, fy = func(ops.qpts[:, :, 0], ops.qpts[:, :, 1], *args)
     out = np.empty(ops.qpts.shape)
     out[:, :, 0] = fx
     out[:, :, 1] = fy
@@ -520,14 +521,8 @@ def ritz_projection(mesh: Mesh, A_func, curl_func, *, tol: float = 1e-12) -> np.
     from .linalg import cg_solve
 
     ops = _ops(mesh)
-    x, y = ops.qpts[:, :, 0], ops.qpts[:, :, 1]
-    fx, fy = A_func(x, y)
-    F_q = np.empty(ops.qpts.shape)
-    F_q[:, :, 0] = fx
-    F_q[:, :, 1] = fy
-    rhs = ops.edge_load(F_q)
-    curl_q = np.broadcast_to(np.asarray(curl_func(x, y), dtype=float), ops.wdx.shape)
-    rhs = rhs + ops.curl_load(curl_q)
+    rhs = ops.edge_load(_vector_at_quad(ops, A_func))
+    rhs = rhs + ops.curl_load(_scalar_at_quad(ops, curl_func))
     system = ops.edge_pattern.csr_from_data(ops._curl_data + ops._edge_mass_data)
     return cg_solve(system, rhs, tol=tol, precond=ops.curl_preconditioner(1.0, 1.0)).x
 

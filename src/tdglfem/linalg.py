@@ -163,14 +163,13 @@ class KrylovConfig:
 
     ``tol`` bounds the generalized-residual estimate relative to the input
     norm; the default keeps the evaluation error well below the time
-    discretization error. ``max_dim`` caps the Krylov dimension and
-    ``reorthogonalize`` toggles full reorthogonalization (on by default;
-    the plain three-term recurrence loses orthogonality on stiff problems).
+    discretization error. ``max_dim`` caps the Krylov dimension. The basis
+    is always fully reorthogonalized: the plain three-term recurrence loses
+    orthogonality on stiff problems.
     """
 
     tol: float = 1e-10
     max_dim: int = 100
-    reorthogonalize: bool = True
 
     def __post_init__(self):
         if not (self.tol > 0 and self.max_dim >= 1):
@@ -242,9 +241,8 @@ def phi_apply(Lhat, d, mu, tau, v, which="phi0", config: KrylovConfig | None = N
         a = float(np.vdot(V[m], u).real)
         u -= a * V[m]
         alphas[m] = a
-        if cfg.reorthogonalize:
-            coeffs = (V[: m + 1] @ u.conj()).conj()
-            u -= coeffs @ V[: m + 1]
+        coeffs = (V[: m + 1] @ u.conj()).conj()
+        u -= coeffs @ V[: m + 1]
         b = float(np.linalg.norm(u))
         scale = max(1.0, float(np.abs(alphas[: m + 1]).max()))
         breakdown = b <= 1e-14 * scale  # invariant subspace, result exact

@@ -64,9 +64,6 @@ class Mesh:
         lexicographically (so edge construction is permutation invariant).
     cell_edges : ndarray, shape (nc, 3)
         Edge index of the local edges ``(v0,v1), (v1,v2), (v2,v0)``.
-    cell_edge_signs : ndarray, shape (nc, 3)
-        ``+1`` where the local traversal agrees with the stored ``lo -> hi``
-        direction, ``-1`` otherwise.
     boundary_edge : ndarray, shape (ne,), bool
         True for edges incident to exactly one cell.
     h : float
@@ -77,7 +74,6 @@ class Mesh:
     cells: np.ndarray
     edges: np.ndarray
     cell_edges: np.ndarray
-    cell_edge_signs: np.ndarray
     boundary_edge: np.ndarray
     h: float
 
@@ -153,7 +149,6 @@ class Mesh:
         lo_hi = np.sort(raw.reshape(-1, 2), axis=1)
         edges, inverse = np.unique(lo_hi, axis=0, return_inverse=True)
         cell_edges = inverse.reshape(-1, 3).astype(np.int64)
-        signs = np.where(raw[:, :, 0] < raw[:, :, 1], 1, -1).astype(np.int8)
 
         counts = np.bincount(cell_edges.ravel(), minlength=len(edges))
         if counts.max() > 2:
@@ -163,9 +158,9 @@ class Mesh:
         side = verts[edges[:, 1]] - verts[edges[:, 0]]
         h = float(np.linalg.norm(side, axis=1).max())
 
-        for arr in (verts, tris, edges, cell_edges, signs, boundary):
+        for arr in (verts, tris, edges, cell_edges, boundary):
             arr.setflags(write=False)
-        return cls(verts, tris, edges, cell_edges, signs, boundary, h)
+        return cls(verts, tris, edges, cell_edges, boundary, h)
 
 
 def _signed_areas(triangle_xy: np.ndarray) -> np.ndarray:

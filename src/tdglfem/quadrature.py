@@ -1,4 +1,4 @@
-"""Symmetric quadrature rules on the reference triangle.
+"""Symmetric degree-4 quadrature on the reference triangle.
 
 Points are stored in barycentric coordinates and weights sum to one, so the
 integral of ``f`` over a physical cell ``K`` is ``area(K) * sum_q w_q f(x_q)``.
@@ -33,42 +33,22 @@ class TriangleRule:
         self.points.setflags(write=False)
         self.weights.setflags(write=False)
 
-    @property
-    def npoints(self) -> int:
-        return len(self.weights)
-
-
-def _rule(points, weights, degree) -> TriangleRule:
-    pts = np.asarray(points, dtype=float)
-    wts = np.asarray(weights, dtype=float)
-    return TriangleRule(pts, wts, degree)
-
-
-#: one-point centroid rule, exact for linears
-CENTROID = _rule([[1 / 3, 1 / 3, 1 / 3]], [1.0], degree=1)
-
-#: three edge-midpoint rule, exact for quadratics
-MIDPOINT = _rule(
-    [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]],
-    [1 / 3, 1 / 3, 1 / 3],
-    degree=2,
-)
 
 # Six-point degree-4 rule (two symmetric orbits).
 _A1 = 0.445948490915965
 _W1 = 0.223381589678011
 _A2 = 0.091576213509771
 _W2 = 0.109951743655322
-DEGREE4 = _rule(
-    [
+DEGREE4 = TriangleRule(
+    np.array([
         [_A1, _A1, 1.0 - 2.0 * _A1],
         [_A1, 1.0 - 2.0 * _A1, _A1],
         [1.0 - 2.0 * _A1, _A1, _A1],
         [_A2, _A2, 1.0 - 2.0 * _A2],
         [_A2, 1.0 - 2.0 * _A2, _A2],
         [1.0 - 2.0 * _A2, _A2, _A2],
-    ],
-    [_W1, _W1, _W1, _W2, _W2, _W2],
+    ]),
+    np.array([_W1, _W1, _W1, _W2, _W2, _W2]),
     degree=4,
 )
 

@@ -23,11 +23,12 @@ from typing import Callable
 import numpy as np
 
 from .mesh import Mesh, generate_uniform_square
-from .stepper import AdaptiveTau
+from .stepper import AdaptiveTau, SchemeParams
 
 __all__ = [
     "ExactSolution",
     "manufactured_fields",
+    "manufactured_params",
     "unit_square_mesh",
     "lshape_mesh",
     "holed_square_mesh",
@@ -111,6 +112,30 @@ def manufactured_fields(kappa: float = 1.0, sigma: float = 1.0):
         )
 
     return exact, forcing_A, forcing_psi
+
+
+def manufactured_params(kappa: float, sigma: float, T: float,
+                        tau) -> tuple[SchemeParams, ExactSolution]:
+    """Scheme parameters of the manufactured problem, and its exact solution.
+
+    The applied field and the forcings are those of
+    :func:`manufactured_fields`; ``psi0`` is the exact ``psi`` at ``t = 0``
+    and ``A0`` the Ritz projection of the exact ``A`` there. Every other
+    parameter keeps its default. Returns ``(params, exact)``.
+    """
+    exact, forcing_A, forcing_psi = manufactured_fields(kappa, sigma)
+    params = SchemeParams(
+        kappa=kappa,
+        sigma=sigma,
+        T=T,
+        tau=tau,
+        H=exact.H,
+        psi0=lambda x, y: exact.psi(x, y, 0.0),
+        A0=(lambda x, y: exact.A(x, y, 0.0), lambda x, y: exact.curl_A(x, y, 0.0)),
+        forcing_A=forcing_A,
+        forcing_psi=forcing_psi,
+    )
+    return params, exact
 
 
 # ---------------------------------------------------------------------------
@@ -213,26 +238,14 @@ def run_manufactured_convergence(resolutions=(8, 16, 32, 64), kappa: float = 1.0
     orders between consecutive resolutions.
     """
     from .diagnostics import convergence_rates, error_norms
-    from .stepper import SchemeParams, run
+    from .stepper import run
 
-    exact, forcing_A, forcing_psi = manufactured_fields(kappa, sigma)
     reports = []
     for m in resolutions:
         m = int(m)
         mesh = unit_square_mesh(m)
         tau = 1.0 / m
-        params = SchemeParams(
-            kappa=kappa,
-            sigma=sigma,
-            T=T,
-            tau=tau,
-            H=exact.H,
-            h_stationary=False,
-            psi0=lambda x, y: exact.psi(x, y, 0.0),
-            A0=(lambda x, y: exact.A(x, y, 0.0), lambda x, y: exact.curl_A(x, y, 0.0)),
-            forcing_A=forcing_A,
-            forcing_psi=forcing_psi,
-        )
+        params, exact = manufactured_params(kappa, sigma, T, tau)
         state = run(mesh, params)
         reports.append(
             error_norms(mesh, state.A, state.psi, exact, state.t, h=1.0 / m, tau=tau)

@@ -24,7 +24,9 @@ once the state settles.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -46,7 +48,6 @@ __all__ = [
     "f_stabilized",
     "initialize",
     "step_A",
-    "choose_mu",
     "step_psi",
     "adaptive_tau",
     "run",
@@ -58,6 +59,21 @@ MBP_SLACK = 1e-10
 #: relative slack allowed on the per-step energy decrease
 ENERGY_SLACK = 1e-9
 
+#: relative residual at which the vector-potential CG solve stops
+CG_TOL = 1e-12
+
+#: factor on the ``mu = "auto"`` shift ``0.375 ||A||_inf^2``
+MU_SAFETY = 2.0
+
+#: Lanczos controls of the two phi actions per step
+KRYLOV = KrylovConfig(tol=1e-12, max_dim=200)
+
+#: relative width of the adaptive controller's saturation window: a proposed
+#: step within ``ADAPTIVE_SNAP * tau_max`` of ``tau_max`` becomes ``tau_max``,
+#: so a long plateau runs at the nominal maximal step instead of creeping
+#: toward it asymptotically
+ADAPTIVE_SNAP = 0.02
+
 
 class EnergyViolationError(RuntimeError):
     """Energy grew between accepted steps while dissipation was guaranteed."""
@@ -67,28 +83,27 @@ class BoundViolationError(RuntimeError):
     """A nodal modulus exceeded 1 while the bound was guaranteed."""
 
 
+def _require_finite(**values):
+    """Raise ``ValueError`` naming the first numeric value that is not finite."""
+    for name, value in values.items():
+        if isinstance(value, numbers.Number) and not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AdaptiveTau:
-    """Energy-slope step controller with hard bounds.
-
-    ``snap`` is the relative width of the saturation window: once the
-    proposed step comes within ``snap * tau_max`` of ``tau_max`` it is
-    rounded up to exactly ``tau_max``, so a long plateau runs at the
-    nominal maximal step instead of creeping toward it asymptotically.
-    """
+    """Energy-slope step controller with hard bounds (see :func:`adaptive_tau`)."""
 
     alpha: float = 1e5
     tau_min: float = 0.02
     tau_max: float = 0.2
-    snap: float = 0.02
 
     def __post_init__(self):
+        _require_finite(alpha=self.alpha, tau_min=self.tau_min, tau_max=self.tau_max)
         if not (0 < self.tau_min <= self.tau_max):
             raise ValueError("need 0 < tau_min <= tau_max")
         if not self.alpha >= 0:
             raise ValueError("alpha must be nonnegative")
-        if not 0 <= self.snap < 1:
-            raise ValueError("snap must lie in [0, 1)")
 
 
 @dataclass
@@ -96,16 +111,15 @@ class SchemeParams:
     """Model constants, policies and initial data for one run.
 
     ``mu`` is a fixed shift (floored at 2) or ``"auto"``, which takes
-    ``max(2, 0.375 * safety * ||A||_inf^2)`` fresh each step. ``H`` is the
-    applied field, a constant or a callable ``(x, y, t)``; set
-    ``h_stationary`` explicitly to override the inferred time dependence
-    (constants are stationary, callables are not). ``psi0`` is a complex
-    constant or callable ``(x, y)``; ``A0`` is ``None`` for zero, a dof
-    vector, or a pair of callables ``(A(x, y), curl_A(x, y))`` projected at
-    startup. Optional forcings make a manufactured problem: ``forcing_A(x,
+    ``max(2, 0.375 * MU_SAFETY * ||A||_inf^2)`` fresh each step. ``H`` is the
+    applied field, a constant (stationary) or a callable ``(x, y, t)``
+    (treated as time dependent). ``psi0`` is a complex constant or callable
+    ``(x, y)``; ``A0`` is ``None`` for zero, a dof vector, or a pair of
+    callables ``(A(x, y), curl_A(x, y))`` projected at startup. Optional forcings make a manufactured problem: ``forcing_A(x,
     y, t) -> (fx, fy)`` enters the potential step, ``forcing_psi(x, y, t)``
     the exponential step; their presence disables the energy monotonicity
-    check (dissipation is not guaranteed for a driven system).
+    check (dissipation is not guaranteed for a driven system). Every numeric
+    value, ``H`` and ``psi0`` included, must be finite.
     """
 
     kappa: float
@@ -113,22 +127,18 @@ class SchemeParams:
     tau: float | AdaptiveTau = 0.1
     sigma: float = 1.0
     mu: float | str = 2.0
-    mu_safety: float = 2.0
     H: float | Callable = 0.0
-    h_stationary: bool | None = None
     psi0: complex | Callable = 1.0 + 0.0j
     A0: object = None
     forcing_A: Callable | None = None
     forcing_psi: Callable | None = None
-    krylov: KrylovConfig = field(
-        default_factory=lambda: KrylovConfig(tol=1e-12, max_dim=200)
-    )
-    cg_tol: float = 1e-12
     strict_acute: bool = False
     energy_check: str = "warn"  # warn | abort | off
     mbp_check: str = "warn"  # warn | abort | off
 
     def __post_init__(self):
+        _require_finite(kappa=self.kappa, T=self.T, tau=self.tau, sigma=self.sigma,
+                        mu=self.mu, H=self.H, psi0=self.psi0)
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
         if not self.sigma > 0:
@@ -147,16 +157,10 @@ class SchemeParams:
                 raise ValueError(f"{name} must be one of warn, abort, off")
 
     @property
-    def h_is_stationary(self) -> bool:
-        if self.h_stationary is not None:
-            return self.h_stationary
-        return not callable(self.H)
-
-    @property
     def dissipation_guaranteed(self) -> bool:
         """True when the scheme's energy-decay guarantee applies."""
         return (
-            self.h_is_stationary
+            not callable(self.H)
             and self.forcing_A is None
             and self.forcing_psi is None
         )
@@ -251,6 +255,8 @@ def initialize(mesh: Mesh, A0, psi0, params: SchemeParams) -> SimulationState:
         psi = fem.interpolate_nodal(mesh, psi0)
     else:
         psi = np.full(mesh.num_vertices, complex(psi0), dtype=complex)
+    if not np.isfinite(psi).all():
+        raise ValueError("psi0 is not finite at every vertex")
 
     if A0 is None:
         A = np.zeros(fem.num_edge_dofs(mesh))
@@ -261,10 +267,12 @@ def initialize(mesh: Mesh, A0, psi0, params: SchemeParams) -> SimulationState:
     else:
         A_func, curl_func = A0
         A = fem.ritz_projection(mesh, A_func, curl_func)
+    if not np.isfinite(A).all():
+        raise ValueError("A0 is not finite at every edge dof")
 
     state = SimulationState(mesh=mesh, A=A, psi=psi, warnings=state_warnings)
     max_mod, idx = mbp_stats(psi)
-    if max_mod > 1.0 + 1e-12:
+    if not (max_mod <= 1.0 + 1e-12):
         msg = (
             f"initial order parameter has modulus {max_mod:.6g} > 1 at vertex "
             f"{idx}; the unit modulus bound will be tracked but not enforced"
@@ -297,23 +305,19 @@ def step_A(state: SimulationState, params: SchemeParams, tau: float, t_n: float)
         forcing=params.forcing_A,
     )
     precond = fem.A_system_preconditioner(mesh, params.sigma, tau)
-    return cg_solve(system, rhs, tol=params.cg_tol, x0=state.A, precond=precond).x
+    return cg_solve(system, rhs, tol=CG_TOL, x0=state.A, precond=precond).x
 
 
 def _mu_for(mesh: Mesh, A, params: SchemeParams) -> float:
-    if params.mu == "auto":
-        a_inf = fem.edge_max_norm(mesh, A)
-        return max(2.0, 0.375 * params.mu_safety * a_inf**2)
-    return max(float(params.mu), 2.0)
-
-
-def choose_mu(state: SimulationState, params: SchemeParams) -> float:
-    """Stabilization shift for the upcoming order-parameter substep.
+    """Stabilization shift of the order-parameter substep against potential ``A``.
 
     Fixed policy: the configured value floored at 2. Auto policy:
-    ``max(2, 0.375 * safety * ||A||_inf^2)`` with the current potential.
+    ``max(2, 0.375 * MU_SAFETY * ||A||_inf^2)``.
     """
-    return _mu_for(state.mesh, state.A, params)
+    if params.mu == "auto":
+        a_inf = fem.edge_max_norm(mesh, A)
+        return max(2.0, 0.375 * MU_SAFETY * a_inf**2)
+    return max(float(params.mu), 2.0)
 
 
 def step_psi(state: SimulationState, params: SchemeParams, A_new, tau: float) -> np.ndarray:
@@ -331,8 +335,8 @@ def step_psi(state: SimulationState, params: SchemeParams, A_new, tau: float) ->
     if params.forcing_psi is not None:
         x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
         F = F + np.asarray(params.forcing_psi(x, y, state.t), dtype=complex)
-    prop = phi_apply(Lhat, d, mu, tau, state.psi, which="phi0", config=params.krylov)
-    drive = phi_apply(Lhat, d, mu, tau, F, which="phi1", config=params.krylov)
+    prop = phi_apply(Lhat, d, mu, tau, state.psi, which="phi0", config=KRYLOV)
+    drive = phi_apply(Lhat, d, mu, tau, F, which="phi1", config=KRYLOV)
     return prop - tau * drive
 
 
@@ -347,7 +351,7 @@ def adaptive_tau(step_energies, tau_prev: float, policy: AdaptiveTau) -> float:
         return policy.tau_min
     slope = (step_energies[-1] - step_energies[-2]) / tau_prev
     tau = policy.tau_max / math.sqrt(1.0 + policy.alpha * slope * slope)
-    if tau >= (1.0 - policy.snap) * policy.tau_max:
+    if tau >= (1.0 - ADAPTIVE_SNAP) * policy.tau_max:
         tau = policy.tau_max
     return max(policy.tau_min, tau)
 
@@ -411,7 +415,8 @@ def run(
         state.tau_current = tau
         row = _record_energy(state, params, tau)
 
-        if check_energy and row.total > g_prev + energy_budget:
+        # written as ``not <=`` so that NaN counts as a violation
+        if check_energy and not (row.total <= g_prev + energy_budget):
             state.energy_violations.append((state.t, g_prev, row.total))
             _handle(
                 "energy",
@@ -419,7 +424,7 @@ def run(
                 f"energy grew from {g_prev!r} to {row.total!r} at t={state.t!r}",
                 state,
             )
-        if check_mbp and row.max_psi > 1.0 + MBP_SLACK:
+        if check_mbp and not (row.max_psi <= 1.0 + MBP_SLACK):
             state.mbp_violations.append((state.t, row.max_psi))
             _handle(
                 "mbp",

@@ -4,6 +4,7 @@ import subprocess
 import numpy as np
 import pytest
 
+import tdglfem.stepper
 from tdglfem.cli import _apply_thread_limit, main
 from tdglfem.mesh import Mesh, format_native
 from tdglfem.output import CSV_HEADER
@@ -82,6 +83,17 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     cfg = write_config(tmp_path, "scenario = lshape\nkapa = 10\n")
     assert main(["run", "--config", cfg]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_run_rejects_infinite_horizon_before_stepping(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the time loop started")
+
+    monkeypatch.setattr(tdglfem.stepper, "run", never)
+    cfg = write_config(tmp_path, f"scenario = lshape\nM = 2\nT = inf\nout = {tmp_path / 'r'}\n")
+    assert main(["run", "--config", cfg]) == 2
+    assert "T must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_run_missing_config(tmp_path, capsys):

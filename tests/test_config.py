@@ -8,8 +8,10 @@ from tdglfem.config import (
     materialize,
     parse_config,
 )
+from tdglfem.diagnostics import error_norms
 from tdglfem.mesh import format_native
-from tdglfem.stepper import AdaptiveTau
+from tdglfem.scenarios import run_manufactured_convergence
+from tdglfem.stepper import AdaptiveTau, run
 
 
 def test_parse_full_file():
@@ -226,6 +228,20 @@ def test_materialize_odd_lshape_m():
 def test_materialize_rejects_bad_params():
     with pytest.raises(ConfigError, match="kappa"):
         materialize(RunConfig(scenario="lshape", M=4, kappa=-1.0))
+    for line, field in [("T = inf", "T"), ("H = nan", "H"), ("psi0 = nan+0i", "psi0"),
+                        ("tau_max = inf", "tau_max"), ("kappa = inf", "kappa")]:
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            materialize(parse_config(f"scenario = lshape\nM = 4\n{line}\n"))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_manufactured_params_single_source():
+    # the config path and the refinement study build the same manufactured run
+    prepared = materialize(parse_config("scenario = manufactured\nM = 8\n"))
+    state = run(prepared.mesh, prepared.params)
+    report = error_norms(prepared.mesh, state.A, state.psi, prepared.exact, state.t,
+                         h=1 / 8, tau=1 / 8)
+    assert report == run_manufactured_convergence((8, 16))[0][0]
 
 
 def test_materialize_output_options():

@@ -10,7 +10,6 @@ from tdglfem.diagnostics import (
     convergence_rates,
     discrete_energy,
     error_norms,
-    magnetization_cells,
     mbp_stats,
 )
 from tdglfem.fem import assemble_Lhat, interpolate_edge, interpolate_nodal, lumped_mass, num_edge_dofs, stiffness_matrix
@@ -58,14 +57,6 @@ def test_mbp_stats_reference():
     value, where = mbp_stats(np.array([0.5, -0.9j, 0.3 + 0.4j]))
     assert value == pytest.approx(0.9, abs=1e-15)
     assert where == 1
-
-
-def test_magnetization(square2):
-    A = interpolate_edge(square2, lambda x, y: (-y, x))
-    m = magnetization_cells(square2, A, 2.0, 0.0)
-    np.testing.assert_allclose(m, 0.0, atol=1e-13)
-    m0 = magnetization_cells(square2, A, 0.0, 0.0)
-    np.testing.assert_allclose(m0, 1.0 / (2 * math.pi), atol=1e-13)
 
 
 # -- error norms ---------------------------------------------------------------

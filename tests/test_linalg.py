@@ -181,17 +181,6 @@ def test_phi_apply_matches_oracle(rng, which, tau):
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
-def test_phi_apply_no_reorthogonalization(rng):
-    n = 40
-    Lhat = random_hermitian(n, rng)
-    d = rng.uniform(0.5, 2.0, n)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    cfg = KrylovConfig(tol=1e-10, reorthogonalize=False)
-    got = phi_apply(Lhat, d, 2.0, 0.2, v, which="phi0", config=cfg)
-    want = dense_phi_oracle(Lhat, d, 2.0, 0.2, v, which="phi0")
-    assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
-
-
 def test_phi_apply_zero_vector(rng):
     Lhat = random_hermitian(8, rng)
     out = phi_apply(Lhat, np.ones(8), 2.0, 0.1, np.zeros(8, dtype=complex))

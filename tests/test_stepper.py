@@ -13,7 +13,6 @@ from tdglfem.stepper import (
     EnergyViolationError,
     SchemeParams,
     adaptive_tau,
-    choose_mu,
     f_stabilized,
     initialize,
     run,
@@ -43,6 +42,15 @@ def quiet_params(**kw):
         {"tau": 0.0},
         {"energy_check": "maybe"},
         {"mbp_check": ""},
+        {"kappa": math.inf},
+        {"T": math.inf},
+        {"tau": math.inf},
+        {"sigma": math.inf},
+        {"mu": math.inf},
+        {"H": math.nan},
+        {"H": -math.inf},
+        {"psi0": complex(math.nan, 0.0)},
+        {"psi0": complex(0.0, math.inf)},
     ],
 )
 def test_params_validation(kw):
@@ -56,8 +64,9 @@ def test_params_validation(kw):
         {"tau_min": 0.0},
         {"tau_min": 0.3, "tau_max": 0.2},
         {"alpha": -1.0},
-        {"snap": 1.0},
-        {"snap": -0.1},
+        {"alpha": math.inf},
+        {"tau_max": math.inf},
+        {"tau_min": math.inf, "tau_max": math.inf},
     ],
 )
 def test_adaptive_policy_validation(kw):
@@ -66,9 +75,8 @@ def test_adaptive_policy_validation(kw):
 
 
 def test_h_stationary_inference():
-    assert quiet_params(H=1.5).h_is_stationary
-    assert not quiet_params(H=lambda x, y, t: t).h_is_stationary
-    assert quiet_params(H=lambda x, y, t: x, h_stationary=True).h_is_stationary
+    # a constant field is stationary, a callable one is treated as time dependent
+    assert not quiet_params(H=lambda x, y, t: x).dissipation_guaranteed
     assert quiet_params(forcing_psi=lambda x, y, t: 0j).dissipation_guaranteed is False
     assert quiet_params(H=2.0).dissipation_guaranteed
 
@@ -91,18 +99,18 @@ def test_f_stabilized_general(rng):
 
 def test_choose_mu_fixed_floor(square2):
     state = initialize_quiet(square2, mu=5.0)
-    assert choose_mu(state, quiet_params(mu=5.0)) == 5.0
-    assert choose_mu(state, quiet_params(mu=0.5)) == 2.0
+    assert stepper._mu_for(square2, state.A, quiet_params(mu=5.0)) == 5.0
+    assert stepper._mu_for(square2, state.A, quiet_params(mu=0.5)) == 2.0
 
 
 def test_choose_mu_auto(square2):
-    params = quiet_params(mu="auto", mu_safety=2.0)
-    state = initialize_quiet(square2, mu="auto")
+    params = quiet_params(mu="auto")
     # zero potential: the floor applies
-    assert choose_mu(state, params) == 2.0
-    state.A = interpolate_edge(square2, lambda x, y: (0 * x, 0 * y + 4.0))
-    # 0.375 * 2 * 16 = 12
-    assert choose_mu(state, params) == pytest.approx(12.0, rel=1e-13)
+    assert stepper._mu_for(square2, np.zeros(num_edge_dofs(square2)), params) == 2.0
+    A = interpolate_edge(square2, lambda x, y: (0 * x, 0 * y + 4.0))
+    # 0.375 * MU_SAFETY * 16 = 12
+    assert stepper.MU_SAFETY == 2.0
+    assert stepper._mu_for(square2, A, params) == pytest.approx(12.0, rel=1e-13)
 
 
 def initialize_quiet(mesh, **kw):
@@ -141,11 +149,11 @@ def test_adaptive_snap_window():
     assert raw < pol.tau_max
     assert raw >= 0.98 * pol.tau_max
     assert adaptive_tau([1.0, 1.0 - slope * 0.1], 0.1, pol) == pol.tau_max
-    # without a window the raw value comes through
-    exact_pol = AdaptiveTau(snap=0.0)
-    assert adaptive_tau([1.0, 1.0 - slope * 0.1], 0.1, exact_pol) == pytest.approx(
-        raw, rel=1e-13
-    )
+    # just outside the window the raw value comes through
+    slope = 1e-3
+    raw = pol.tau_max / math.sqrt(1 + pol.alpha * slope**2)
+    assert pol.tau_min < raw < 0.98 * pol.tau_max
+    assert adaptive_tau([1.0, 1.0 - slope * 0.1], 0.1, pol) == pytest.approx(raw, rel=1e-13)
 
 
 # -- initialization ------------------------------------------------------------
@@ -184,6 +192,19 @@ def test_initialize_large_psi0_disables_guarantee(square2):
     with pytest.warns(UserWarning, match="modulus"):
         state = initialize(square2, None, 2.0 + 0j, quiet_params())
     assert not state.mbp_guaranteed
+
+
+@pytest.mark.filterwarnings("ignore:mesh is weakly acute")
+def test_initialize_rejects_nonfinite_data(square2):
+    def psi0(x, y):
+        return np.where(x > 0.5, np.nan, 1.0) + 0j
+
+    with pytest.raises(ValueError, match="psi0"):
+        initialize(square2, None, psi0, quiet_params())
+    A0 = np.zeros(num_edge_dofs(square2))
+    A0[3] = math.nan
+    with pytest.raises(ValueError, match="A0"):
+        initialize(square2, A0, 1.0 + 0j, quiet_params())
 
 
 def test_initialize_records_t0(square2):
@@ -356,3 +377,17 @@ def test_mbp_violation_warn(square2, monkeypatch):
     with pytest.warns(UserWarning, match="modulus"):
         state = run(square2, params)
     assert state.mbp_violations
+
+
+@pytest.mark.parametrize(
+    "check, error", [("mbp_check", BoundViolationError), ("energy_check", EnergyViolationError)]
+)
+def test_checks_catch_nan(square2, monkeypatch, check, error):
+    monkeypatch.setattr(
+        stepper, "step_psi", lambda state, *args: np.full_like(state.psi, math.nan)
+    )
+    checks = {"energy_check": "off", "mbp_check": "off", check: "abort"}
+    params = quiet_params(T=0.5, tau=0.25, **checks)
+    with pytest.warns(UserWarning, match="weakly acute"):
+        with pytest.raises(error, match="nan"):
+            run(square2, params)
