@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from tdglfem.quadrature import DEGREE4, physical_points
+from tdglfem.quadrature import DEGREE4, TriangleRule, physical_points
 
-RULES = [DEGREE4]
+# The library ships only DEGREE4; a one-point and a three-point rule built here
+# exercise TriangleRule and physical_points at other point counts.
+CENTROID = TriangleRule(np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([1.0]), degree=1)
+MIDPOINT = TriangleRule(
+    np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
+    np.full(3, 1 / 3),
+    degree=2,
+)
+RULES = [CENTROID, MIDPOINT, DEGREE4]
 
 
 @pytest.mark.parametrize("rule", RULES)
