@@ -145,7 +145,7 @@ def _cmd_run(args) -> int:
 def _cmd_convergence(args) -> int:
     from .config import ConfigError
     from .output import ensure_dir, write_convergence_csv
-    from .scenarios import run_manufactured_convergence
+    from .scenarios import manufactured_params, run_manufactured_convergence
 
     kappa, sigma, T = 1.0, 1.0, 1.0
     out = args.out
@@ -163,6 +163,15 @@ def _cmd_convergence(args) -> int:
         raise ConfigError(f"bad --resolutions value {args.resolutions!r}") from None
     if len(resolutions) < 2:
         raise ConfigError("need at least two resolutions for rates")
+    if resolutions[0] < 1 or any(b != 2 * a for a, b in zip(resolutions, resolutions[1:])):
+        raise ConfigError(
+            f"resolutions must start at 1 or more and double each time, got {args.resolutions!r}"
+        )
+    for m in resolutions:
+        try:
+            manufactured_params(kappa, sigma, T, 1.0 / m)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     reports, rates = run_manufactured_convergence(resolutions, kappa, sigma, T)
 

@@ -19,7 +19,15 @@ a Lanczos iteration on ``S`` with full reorthogonalization builds a small
 tridiagonal ``T``, the phi function is evaluated on ``T`` by dense
 tridiagonal eigendecomposition, and a Saad-style generalized residual
 (last subdiagonal times the last entry of ``phi(tau T) e1``) decides
-convergence.
+convergence. Each check costs an eigensolve, so checks run on a schedule:
+the first where the estimate becomes trustworthy, then after a failing check
+a jump to where ``log`` of the estimate, extrapolated linearly through an
+earlier failing check with a larger estimate, meets the tolerance (at most a
+quarter of the dimension), and after a passing check the next dimension.
+Convergence needs passing estimates at two adjacent dimensions (or a
+breakdown), so the run never stops earlier than checking every dimension
+would; the estimate falls superlinearly past ``sqrt(tau rho)`` (Hochbruck &
+Lubich, SINUM 1997), which keeps the overshoot small.
 
 Sign conventions: ``phi0(a) = exp(a)`` and ``phi1(a) = (1 - exp(a)) / a``
 with ``phi1(0) = -1``, so the update reads ``psi_new = phi0(tau L) psi -
@@ -183,6 +191,28 @@ def _phi_on_tridiag(alphas, betas, tau, which):
     return q @ (f * q[0, :])
 
 
+#: a jump between two residual checks spans at most ``m // CHECK_JUMP_DIVISOR``
+#: Krylov dimensions, ``m`` the dimension of the failing check
+CHECK_JUMP_DIVISOR = 4
+
+
+def _check_jump(failed, m, est, tol):
+    """Dimensions from a failing check at ``m`` to the next check.
+
+    ``log est`` is extrapolated linearly to ``log tol`` through the latest
+    earlier failing check with a larger estimate; without one the next check
+    is at ``m + 1``. The jump lies in ``[1, max(1, m // CHECK_JUMP_DIVISOR)]``.
+    """
+    for m_prev, est_prev in reversed(failed):
+        if est_prev > est:
+            jump = math.ceil(
+                (math.log(est) - math.log(tol)) * (m - m_prev)
+                / (math.log(est_prev) - math.log(est))
+            )
+            return min(max(jump, 1), max(1, m // CHECK_JUMP_DIVISOR))
+    return 1
+
+
 def phi_apply(Lhat, d, mu, tau, v, which="phi0", config: KrylovConfig | None = None) -> np.ndarray:
     """Krylov evaluation of ``phi(tau (D^{-1} Lhat - mu I)) v``.
 
@@ -192,9 +222,13 @@ def phi_apply(Lhat, d, mu, tau, v, which="phi0", config: KrylovConfig | None = N
 
     The residual estimate is only consulted once the Krylov dimension passes
     ``sqrt(tau * rho)`` (``rho`` a Gershgorin radius of the scaled operator)
-    and has to pass twice in a row. Below that dimension the projected phi
-    value can underflow to zero before any Ritz value has reached the upper
-    end of the spectrum, faking convergence with an answer of zero.
+    and has to pass at two adjacent dimensions. Below that dimension the
+    projected phi value can underflow to zero before any Ritz value has
+    reached the upper end of the spectrum, faking convergence with an answer
+    of zero. Past it, a failing check at ``m`` schedules the next one
+    :func:`_check_jump` dimensions later, a passing one at ``m + 1``; no
+    check is scheduled past ``max_dim - 1``, so the last two checks under
+    the cap are adjacent. The answer is the one of the last check.
     """
     if which not in ("phi0", "phi1"):
         raise ValueError(f"unknown phi selector {which!r}")
@@ -232,7 +266,9 @@ def phi_apply(Lhat, d, mu, tau, v, which="phi0", config: KrylovConfig | None = N
     y = None
     used = 0
     est = math.inf
-    est_prev = math.inf
+    passed = False
+    failed = []  # (dimension, estimate) of every failing check so far
+    next_check = m_trust
     converged = False
     for m in range(mdim):
         u = s_matvec(V[m])
@@ -247,13 +283,20 @@ def phi_apply(Lhat, d, mu, tau, v, which="phi0", config: KrylovConfig | None = N
         scale = max(1.0, float(np.abs(alphas[: m + 1]).max()))
         breakdown = b <= 1e-14 * scale  # invariant subspace, result exact
 
-        if m + 1 >= m_trust or m + 1 == mdim or breakdown:
+        if m + 1 == next_check or breakdown:
             y = _phi_on_tridiag(alphas[: m + 1], betas[:m], tau, which)
             used = m + 1
-            est_prev, est = est, b * abs(y[-1])
-            if breakdown or (est <= cfg.tol and est_prev <= cfg.tol):
+            est = b * abs(y[-1])
+            # a passing check is always followed by one at the next
+            # dimension, so ``passed`` means the previous dimension passed
+            if breakdown or (est <= cfg.tol and passed):
                 converged = True
                 break
+            passed = est <= cfg.tol
+            jump = 1 if passed else _check_jump(failed, used, est, cfg.tol)
+            next_check = max(used + 1, min(used + jump, mdim - 1))
+            if not passed:
+                failed.append((used, est))
         if m + 1 < mdim:
             betas[m] = b
             V[m + 1] = u / b

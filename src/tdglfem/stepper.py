@@ -83,6 +83,11 @@ class BoundViolationError(RuntimeError):
     """A nodal modulus exceeded 1 while the bound was guaranteed."""
 
 
+def _time_slack(T: float) -> float:
+    """Time resolution of a run to ``T``: ``run`` stops within it of ``T``."""
+    return 1e-9 * max(1.0, abs(T))
+
+
 def _require_finite(**values):
     """Raise ``ValueError`` naming the first numeric value that is not finite."""
     for name, value in values.items():
@@ -119,7 +124,9 @@ class SchemeParams:
     y, t) -> (fx, fy)`` enters the potential step, ``forcing_psi(x, y, t)``
     the exponential step; their presence disables the energy monotonicity
     check (dissipation is not guaranteed for a driven system). Every numeric
-    value, ``H`` and ``psi0`` included, must be finite.
+    value, ``H`` and ``psi0`` included, must be finite, and no step (a fixed
+    ``tau`` or an adaptive ``tau_min``) may be shorter than the time loop's
+    resolution ``1e-9 max(1, T)``.
     """
 
     kappa: float
@@ -152,6 +159,11 @@ class SchemeParams:
             raise ValueError("mu must be nonnegative")
         if not isinstance(self.tau, AdaptiveTau) and not self.tau > 0:
             raise ValueError("tau must be positive or an AdaptiveTau policy")
+        shortest = self.tau.tau_min if isinstance(self.tau, AdaptiveTau) else self.tau
+        if shortest < _time_slack(self.T):
+            raise ValueError(
+                f"step {shortest!r} is below the time resolution 1e-9 max(1, T) of the run"
+            )
         for name in ("energy_check", "mbp_check"):
             if getattr(self, name) not in ("warn", "abort", "off"):
                 raise ValueError(f"{name} must be one of warn, abort, off")
@@ -382,7 +394,7 @@ def run(
     """
     state = initialize(mesh, params.A0, params.psi0, params)
     pending = sorted(float(s) for s in snapshot_times)
-    eps = 1e-9 * max(1.0, abs(params.T))
+    eps = _time_slack(params.T)
 
     def emit_due():
         while pending and pending[0] <= state.t + eps:

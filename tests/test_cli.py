@@ -96,6 +96,18 @@ def test_run_rejects_infinite_horizon_before_stepping(tmp_path, capsys, monkeypa
     assert not (tmp_path / "r").exists()
 
 
+def test_run_rejects_step_below_time_resolution(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the time loop started")
+
+    monkeypatch.setattr(tdglfem.stepper, "run", never)
+    cfg = write_config(tmp_path, f"scenario = lshape\nM = 2\nT = 1\ntau = 1e-300\n"
+                                 f"out = {tmp_path / 'r'}\n")
+    assert main(["run", "--config", cfg]) == 2
+    assert "time resolution" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_run_missing_config(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "cannot read config" in capsys.readouterr().err
@@ -178,6 +190,29 @@ def test_convergence_needs_two_resolutions(capsys):
 def test_convergence_bad_resolutions(capsys):
     assert main(["convergence", "--resolutions", "8,many"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "config, resolutions, message",
+    [
+        ("T = inf", "4,8", "T must be finite"),
+        ("kappa = -1", "4,8", "kappa must be positive"),
+        (None, "4,0", "double"),
+        (None, "4,4", "double"),
+        (None, "0,0", "double"),
+    ],
+)
+def test_convergence_validates_before_solving(tmp_path, capsys, monkeypatch, config,
+                                              resolutions, message):
+    def never(*args, **kwargs):
+        raise AssertionError("the time loop started")
+
+    monkeypatch.setattr(tdglfem.stepper, "run", never)
+    argv = ["convergence", "--resolutions", resolutions]
+    if config is not None:
+        argv += ["--config", write_config(tmp_path, f"scenario = manufactured\n{config}\n")]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_convergence_config_must_be_manufactured(tmp_path, capsys):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tdglfem.fem import A_system_preconditioner, assemble_A_system
+from tdglfem import linalg
+from tdglfem.fem import (
+    A_system_preconditioner,
+    assemble_A_system,
+    assemble_Lhat,
+    lumped_mass,
+    num_edge_dofs,
+)
 from tdglfem.linalg import (
     DENSE_ORACLE_MAX_SIZE,
     PHI1_SERIES_CUTOFF,
@@ -17,7 +24,8 @@ from tdglfem.linalg import (
     phi1,
     phi_apply,
 )
-from tdglfem.scenarios import lshape_mesh
+from tdglfem.scenarios import lshape_mesh, unit_square_mesh
+from tdglfem.stepper import KRYLOV
 
 
 def random_spd(n, rng):
@@ -179,6 +187,87 @@ def test_phi_apply_matches_oracle(rng, which, tau):
     got = phi_apply(Lhat, d, 2.0, tau, v, which=which)
     want = dense_phi_oracle(Lhat, d, 2.0, tau, v, which=which)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def square_phi_problem(M, rng):
+    """``Lhat`` for a random potential on the unit square, ``kappa = 1``."""
+    mesh = unit_square_mesh(M)
+    Lhat = assemble_Lhat(mesh, rng.standard_normal(num_edge_dofs(mesh)), 1.0)
+    v = rng.standard_normal(mesh.num_vertices) + 1j * rng.standard_normal(mesh.num_vertices)
+    return Lhat, lumped_mass(mesh), v
+
+
+@pytest.fixture
+def eigensolve_dims(monkeypatch):
+    """Krylov dimension of every tridiagonal eigensolve ``phi_apply`` runs."""
+    dims = []
+    inner = linalg._phi_on_tridiag
+
+    def counting(alphas, betas, tau, which):
+        dims.append(len(alphas))
+        return inner(alphas, betas, tau, which)
+
+    monkeypatch.setattr(linalg, "_phi_on_tridiag", counting)
+    return dims
+
+
+@pytest.mark.parametrize("M", [16, 20])
+@pytest.mark.parametrize("tau", ["1/M", 0.2, 1.0])
+@pytest.mark.parametrize("which", ["phi0", "phi1"])
+def test_phi_apply_matches_oracle_at_large_dimension(rng, eigensolve_dims, M, tau, which):
+    # Krylov dimensions of about 60 to 140, where the check schedule skips
+    tau = 1.0 / M if tau == "1/M" else tau
+    Lhat, d, v = square_phi_problem(M, rng)
+    got = phi_apply(Lhat, d, 2.0, tau, v, which=which, config=KRYLOV)
+    want = dense_phi_oracle(Lhat, d, 2.0, tau, v, which=which)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    assert eigensolve_dims[-1] >= 50
+    assert len(eigensolve_dims) < eigensolve_dims[-1] - eigensolve_dims[0]
+
+
+@pytest.mark.parametrize("which", ["phi0", "phi1"])
+def test_phi_apply_check_count(rng, eigensolve_dims, which):
+    Lhat, d, v = square_phi_problem(32, rng)
+    phi_apply(Lhat, d, 2.0, 1.0 / 32, v, which=which, config=KRYLOV)
+    assert len(eigensolve_dims) <= 14
+
+
+@pytest.mark.parametrize("which", ["phi0", "phi1"])
+def test_phi_apply_single_spurious_pass(rng, monkeypatch, eigensolve_dims, which):
+    # a zero last component fakes a passing estimate at one checked dimension;
+    # the adjacent-pair rule must not stop there
+    Lhat, d, v = square_phi_problem(16, rng)
+    want = phi_apply(Lhat, d, 2.0, 1.0 / 16, v, which=which, config=KRYLOV)
+    checked = list(eigensolve_dims)
+    assert len(checked) >= 6
+    counting = linalg._phi_on_tridiag
+    for k in checked[:-2]:
+        def faking(alphas, betas, tau, which, k=k):
+            y = counting(alphas, betas, tau, which)
+            if len(alphas) == k:
+                y[-1] = 0.0
+            return y
+
+        monkeypatch.setattr(linalg, "_phi_on_tridiag", faking)
+        got = phi_apply(Lhat, d, 2.0, 1.0 / 16, v, which=which, config=KRYLOV)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("which", ["phi0", "phi1"])
+def test_phi_apply_dimension_cap(rng, eigensolve_dims, which):
+    Lhat, d, v = square_phi_problem(16, rng)
+    want = phi_apply(Lhat, d, 2.0, 0.2, v, which=which, config=KrylovConfig(1e-12, 200))
+    m0 = eigensolve_dims[-1]
+    assert m0 < 200
+    # capped at its own converged dimension, a call still converges
+    got = phi_apply(Lhat, d, 2.0, 0.2, v, which=which, config=KrylovConfig(1e-12, m0))
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    # capped well below it, the last two checks are the adjacent pair at the cap
+    eigensolve_dims.clear()
+    with pytest.raises(ConvergenceError):
+        phi_apply(Lhat, d, 2.0, 0.2, v, which=which, config=KrylovConfig(1e-12, m0 // 2))
+    assert eigensolve_dims[-2:] == [m0 // 2 - 1, m0 // 2]
+    assert len(eigensolve_dims) < m0 // 4
 
 
 def test_phi_apply_zero_vector(rng):

@@ -51,6 +51,9 @@ def quiet_params(**kw):
         {"H": -math.inf},
         {"psi0": complex(math.nan, 0.0)},
         {"psi0": complex(0.0, math.inf)},
+        {"tau": 1e-300},
+        {"T": 100.0, "tau": 0.99e-7},
+        {"T": 0.5, "tau": AdaptiveTau(tau_min=0.99e-9)},
     ],
 )
 def test_params_validation(kw):
@@ -72,6 +75,12 @@ def test_params_validation(kw):
 def test_adaptive_policy_validation(kw):
     with pytest.raises(ValueError):
         AdaptiveTau(**kw)
+
+
+def test_params_accept_step_at_time_resolution():
+    # the run loop stops within 1e-9 max(1, T) of T; a shorter step is refused
+    assert quiet_params(T=0.5, tau=1e-9).tau == 1e-9
+    assert quiet_params(T=0.5, tau=AdaptiveTau(tau_min=1e-9)).tau.tau_min == 1e-9
 
 
 def test_h_stationary_inference():
