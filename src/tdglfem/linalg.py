@@ -12,26 +12,28 @@ A fixed cost rule keeps Jacobi where its cheaper iterations win: when
 ``sqrt(1 + rho) <= 1 + 4 n_cells (bw + 1) / nnz``, with ``rho = (tau/sigma)
 tr(K) / tr(M)`` and ``bw`` the band width of the cell-space factor.
 
-The order-parameter step needs ``phi0(tau L) v`` and ``phi1(tau L) v`` where
+The order-parameter step needs one action ``phi1(tau L) r`` per step, where
 ``L = D^{-1} Lhat - mu I`` is similar to the Hermitian (negative definite)
 matrix ``S = D^{-1/2} Lhat D^{-1/2} - mu I``. The similarity is exploited:
 a Lanczos iteration on ``S`` with full reorthogonalization builds a small
-tridiagonal ``T``, the phi function is evaluated on ``T`` by dense
-tridiagonal eigendecomposition, and a Saad-style generalized residual
-(last subdiagonal times the last entry of ``phi(tau T) e1``) decides
-convergence. Each check costs an eigensolve, so checks run on a schedule:
-the first where the estimate becomes trustworthy, then after a failing check
-a jump to where ``log`` of the estimate, extrapolated linearly through an
-earlier failing check with a larger estimate, meets the tolerance (at most a
-quarter of the dimension), and after a passing check the next dimension.
-Convergence needs passing estimates at two adjacent dimensions (or a
-breakdown), so the run never stops earlier than checking every dimension
-would; the estimate falls superlinearly past ``sqrt(tau rho)`` (Hochbruck &
-Lubich, SINUM 1997), which keeps the overshoot small.
+tridiagonal ``T``, ``phi1`` is evaluated on ``T`` by dense tridiagonal
+eigendecomposition, and a Saad-style generalized residual (last subdiagonal
+times the last entry of ``phi1(tau T) e1``) decides convergence. Each check
+costs an eigensolve, so checks run on a schedule: the first where the
+estimate becomes trustworthy, then after a failing check a jump to where
+``log`` of the estimate, extrapolated linearly through an earlier failing
+check with a larger estimate, meets the tolerance (at most a quarter of the
+dimension), and after a passing check the next dimension. Convergence needs
+passing estimates at two adjacent dimensions (or a breakdown), so the run
+never stops earlier than checking every dimension would; the estimate falls
+superlinearly past ``sqrt(tau rho)`` (Hochbruck & Lubich, SINUM 1997), which
+keeps the overshoot small. The tolerance and the dimension cap are the
+module constants ``KRYLOV_TOL`` and ``KRYLOV_MAX_DIM``.
 
-Sign conventions: ``phi0(a) = exp(a)`` and ``phi1(a) = (1 - exp(a)) / a``
-with ``phi1(0) = -1``, so the update reads ``psi_new = phi0(tau L) psi -
-tau phi1(tau L) F``.
+Sign convention: ``phi1(a) = (1 - exp(a)) / a`` with ``phi1(0) = -1``, so
+``exp(a) = 1 - a phi1(a)`` and the exponential Euler update
+``psi_new = exp(tau L) psi - tau phi1(tau L) F`` reads
+``psi_new = psi - tau phi1(tau L) (L psi + F)``.
 
 ``dense_phi_oracle`` is an independent small-size reference path (full
 eigendecomposition, different phi1 evaluation) used to cross-check the
@@ -50,8 +52,8 @@ __all__ = [
     "ConvergenceError",
     "CgResult",
     "cg_solve",
-    "KrylovConfig",
-    "phi0",
+    "KRYLOV_TOL",
+    "KRYLOV_MAX_DIM",
     "phi1",
     "phi_apply",
     "dense_phi_oracle",
@@ -142,11 +144,6 @@ def cg_solve(
 # phi functions
 
 
-def phi0(a):
-    """``exp(a)``, elementwise."""
-    return np.exp(a)
-
-
 #: below this magnitude phi1 switches to its Taylor series
 PHI1_SERIES_CUTOFF = 1e-5
 
@@ -165,30 +162,20 @@ def phi1(a):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class KrylovConfig:
-    """Lanczos controls for the phi evaluations.
+#: Lanczos stops once the generalized-residual estimate, relative to the
+#: input norm, is below this at two adjacent Krylov dimensions
+KRYLOV_TOL = 1e-12
 
-    ``tol`` bounds the generalized-residual estimate relative to the input
-    norm; the default keeps the evaluation error well below the time
-    discretization error. ``max_dim`` caps the Krylov dimension. The basis
-    is always fully reorthogonalized: the plain three-term recurrence loses
-    orthogonality on stiff problems.
-    """
-
-    tol: float = 1e-10
-    max_dim: int = 100
-
-    def __post_init__(self):
-        if not (self.tol > 0 and self.max_dim >= 1):
-            raise ValueError("need tol > 0 and max_dim >= 1")
+#: cap on the Krylov dimension of one phi action; the basis is always fully
+#: reorthogonalized, since the plain three-term recurrence loses
+#: orthogonality on stiff problems
+KRYLOV_MAX_DIM = 200
 
 
-def _phi_on_tridiag(alphas, betas, tau, which):
-    """``phi(tau T) e1`` for the Lanczos tridiagonal ``T``."""
+def _phi_on_tridiag(alphas, betas, tau):
+    """``phi1(tau T) e1`` for the Lanczos tridiagonal ``T``."""
     lam, q = eigh_tridiagonal(alphas, betas)
-    f = phi0(tau * lam) if which == "phi0" else phi1(tau * lam)
-    return q @ (f * q[0, :])
+    return q @ (phi1(tau * lam) * q[0, :])
 
 
 #: a jump between two residual checks spans at most ``m // CHECK_JUMP_DIVISOR``
@@ -213,30 +200,28 @@ def _check_jump(failed, m, est, tol):
     return 1
 
 
-def phi_apply(Lhat, d, mu, tau, v, which="phi0", config: KrylovConfig | None = None) -> np.ndarray:
-    """Krylov evaluation of ``phi(tau (D^{-1} Lhat - mu I)) v``.
+def phi_apply(Lhat, d, mu, tau, v) -> np.ndarray:
+    """Krylov evaluation of ``phi1(tau (D^{-1} Lhat - mu I)) v``.
 
     ``Lhat`` must be Hermitian (sparse or dense), ``d`` the positive lumped
     weights, ``mu >= 0`` the stabilization shift and ``tau > 0`` the step.
-    ``which`` selects ``"phi0"`` or ``"phi1"``.
 
     The residual estimate is only consulted once the Krylov dimension passes
-    ``sqrt(tau * rho)`` (``rho`` a Gershgorin radius of the scaled operator)
-    and has to pass at two adjacent dimensions. Below that dimension the
-    projected phi value can underflow to zero before any Ritz value has
-    reached the upper end of the spectrum, faking convergence with an answer
-    of zero. Past it, a failing check at ``m`` schedules the next one
-    :func:`_check_jump` dimensions later, a passing one at ``m + 1``; no
-    check is scheduled past ``max_dim - 1``, so the last two checks under
-    the cap are adjacent. The answer is the one of the last check.
+    ``m_trust = ceil(sqrt(tau * rho)) + 2`` (``rho`` a Gershgorin radius of
+    the scaled operator) and has to pass at two adjacent dimensions. Below that
+    dimension the projected phi value can underflow to zero before any Ritz
+    value has reached the upper end of the spectrum, faking convergence with
+    an answer of zero. Past it, a failing check at ``m`` schedules the next
+    one :func:`_check_jump` dimensions later, a passing one at ``m + 1``; no
+    check is scheduled past ``KRYLOV_MAX_DIM - 1``, so the last two checks
+    under the cap are adjacent. The answer is the one of the last check.
+    Reaching the cap raises :class:`ConvergenceError` naming ``tau``, the
+    cap, the last estimate and ``m_trust``.
     """
-    if which not in ("phi0", "phi1"):
-        raise ValueError(f"unknown phi selector {which!r}")
     if not tau > 0:
         raise ValueError("tau must be positive")
     if not mu >= 0:
         raise ValueError("mu must be nonnegative")
-    cfg = config if config is not None else KrylovConfig()
 
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
@@ -253,7 +238,7 @@ def phi_apply(Lhat, d, mu, tau, v, which="phi0", config: KrylovConfig | None = N
     def s_matvec(x):
         return (Lhat @ (x / dh)) / dh - mu * x
 
-    mdim = min(cfg.max_dim, n)
+    mdim = min(KRYLOV_MAX_DIM, n)
     # basis vectors are rows, so only the rows in use are ever touched
     V = np.empty((mdim, n), dtype=complex)
     alphas = np.empty(mdim)
@@ -284,16 +269,16 @@ def phi_apply(Lhat, d, mu, tau, v, which="phi0", config: KrylovConfig | None = N
         breakdown = b <= 1e-14 * scale  # invariant subspace, result exact
 
         if m + 1 == next_check or breakdown:
-            y = _phi_on_tridiag(alphas[: m + 1], betas[:m], tau, which)
+            y = _phi_on_tridiag(alphas[: m + 1], betas[:m], tau)
             used = m + 1
             est = b * abs(y[-1])
             # a passing check is always followed by one at the next
             # dimension, so ``passed`` means the previous dimension passed
-            if breakdown or (est <= cfg.tol and passed):
+            if breakdown or (est <= KRYLOV_TOL and passed):
                 converged = True
                 break
-            passed = est <= cfg.tol
-            jump = 1 if passed else _check_jump(failed, used, est, cfg.tol)
+            passed = est <= KRYLOV_TOL
+            jump = 1 if passed else _check_jump(failed, used, est, KRYLOV_TOL)
             next_check = max(used + 1, min(used + jump, mdim - 1))
             if not passed:
                 failed.append((used, est))
@@ -303,7 +288,9 @@ def phi_apply(Lhat, d, mu, tau, v, which="phi0", config: KrylovConfig | None = N
 
     if not converged:
         raise ConvergenceError(
-            f"phi_apply did not converge within a Krylov dimension of {mdim}",
+            f"phi_apply did not converge at tau={tau!r} within the Krylov dimension "
+            f"cap {mdim}: last residual estimate {est:.3e} (tolerance {KRYLOV_TOL:g}), "
+            f"estimates trusted from dimension m_trust={m_trust}",
             iterations=mdim,
             residual=float(est),
         )

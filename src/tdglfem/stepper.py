@@ -6,9 +6,15 @@ in two substeps that never couple implicitly:
 1. vector-potential step (backward Euler): solve the SPD system
    ``(sigma/tau) M A + K A + M_{|psi|^2} A = (sigma/tau) M A_prev + loads``
    with the order parameter frozen at the previous level;
-2. order-parameter step (stabilized exponential integrator): with
+2. order-parameter step (stabilized exponential Euler): with
    ``L = D^{-1} Lhat(A_new) - mu I`` and ``F = (1 - |psi|^2) psi + mu psi
-   + forcing``, update ``psi_new = phi0(tau L) psi - tau phi1(tau L) F``.
+   + forcing``, the first-order ETD update ``psi_new = exp(tau L) psi -
+   tau phi1(tau L) F`` is evaluated as ``psi_new = psi - tau phi1(tau L) r``
+   with ``phi1(a) = (1 - exp(a))/a``, one Krylov action per step. The
+   residual ``r = L psi + F = D^{-1} Lhat psi + (1 - |psi|^2) psi + forcing``
+   does not depend on ``mu``. At the ground state (``psi = 1``, ``A = 0``)
+   ``r`` vanishes up to the rounding of ``Lhat`` applied to a constant, so
+   the step keeps ``psi`` within a few units in the last place of 1.
 
 The shift ``mu`` makes ``L`` negative definite; any ``mu >= 1`` gives
 energy dissipation for stationary applied field, and a large enough ``mu``
@@ -35,7 +41,7 @@ import numpy as np
 
 from . import fem
 from .diagnostics import EnergyBreakdown, discrete_energy, mbp_stats
-from .linalg import KrylovConfig, cg_solve, phi_apply
+from .linalg import cg_solve, phi_apply
 from .mesh import Mesh, audit_mesh
 
 __all__ = [
@@ -45,7 +51,6 @@ __all__ = [
     "SimulationState",
     "EnergyViolationError",
     "BoundViolationError",
-    "f_stabilized",
     "initialize",
     "step_A",
     "step_psi",
@@ -64,9 +69,6 @@ CG_TOL = 1e-12
 
 #: factor on the ``mu = "auto"`` shift ``0.375 ||A||_inf^2``
 MU_SAFETY = 2.0
-
-#: Lanczos controls of the two phi actions per step
-KRYLOV = KrylovConfig(tol=1e-12, max_dim=200)
 
 #: relative width of the adaptive controller's saturation window: a proposed
 #: step within ``ADAPTIVE_SNAP * tau_max`` of ``tau_max`` becomes ``tau_max``,
@@ -213,12 +215,6 @@ class SimulationState:
         return [row.total for row in self.history[1:]]
 
 
-def f_stabilized(psi, mu: float) -> np.ndarray:
-    """Stabilized nonlinearity ``(1 - |psi|^2) psi + mu psi``, nodewise."""
-    psi = np.asarray(psi, dtype=complex)
-    return (1.0 + mu - np.abs(psi) ** 2) * psi
-
-
 def _record_energy(state: SimulationState, params: SchemeParams, tau: float) -> TimeSeriesRow:
     energy: EnergyBreakdown = discrete_energy(
         state.mesh, state.A, state.psi, params.H, state.t, params.kappa
@@ -333,23 +329,24 @@ def _mu_for(mesh: Mesh, A, params: SchemeParams) -> float:
 
 
 def step_psi(state: SimulationState, params: SchemeParams, A_new, tau: float) -> np.ndarray:
-    """Exponential order-parameter substep against the fresh potential.
+    """Exponential Euler order-parameter substep against the fresh potential.
 
     Uses ``state.psi`` and ``state.t`` as the previous level; ``A_new``
-    must be the potential already advanced to the new level.
+    must be the potential already advanced to the new level. Returns
+    ``psi - tau phi1(tau L) r`` with the ``mu``-free residual ``r = D^{-1}
+    Lhat psi + (1 - |psi|^2) psi + forcing``.
     """
     mesh = state.mesh
     A_new = np.asarray(A_new, dtype=float)
     Lhat = fem.assemble_Lhat(mesh, A_new, params.kappa)
     d = fem.lumped_mass(mesh)
     mu = _mu_for(mesh, A_new, params)
-    F = f_stabilized(state.psi, mu)
+    psi = state.psi
+    r = (Lhat @ psi) / d + (1.0 - np.abs(psi) ** 2) * psi
     if params.forcing_psi is not None:
         x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
-        F = F + np.asarray(params.forcing_psi(x, y, state.t), dtype=complex)
-    prop = phi_apply(Lhat, d, mu, tau, state.psi, which="phi0", config=KRYLOV)
-    drive = phi_apply(Lhat, d, mu, tau, F, which="phi1", config=KRYLOV)
-    return prop - tau * drive
+        r = r + np.asarray(params.forcing_psi(x, y, state.t), dtype=complex)
+    return psi - tau * phi_apply(Lhat, d, mu, tau, r)
 
 
 def adaptive_tau(step_energies, tau_prev: float, policy: AdaptiveTau) -> float:

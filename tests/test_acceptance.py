@@ -24,7 +24,7 @@ from tdglfem.fem import (
 from tdglfem.linalg import dense_phi_oracle, phi_apply
 from tdglfem.output import format_timeseries_csv
 from tdglfem.scenarios import holed_square_mesh, lshape_mesh, run_manufactured_convergence, unit_square_mesh
-from tdglfem.stepper import AdaptiveTau, SchemeParams, run
+from tdglfem.stepper import AdaptiveTau, SchemeParams, SimulationState, _mu_for, run, step_psi
 
 
 @pytest.fixture
@@ -115,6 +115,8 @@ def test_criterion_3_modulus_bound(lshape_runs, holed_run, report):
 
 
 def test_criterion_4_phi_oracle(report):
+    # per draw and step: (a) the phi1 action, (b) the one-action psi step
+    # against the dense two-action step exp(tau L) psi - tau phi1(tau L) F
     rng = np.random.default_rng(7)
     meshes = [unit_square_mesh(2), unit_square_mesh(4), unit_square_mesh(6),
               lshape_mesh(4), lshape_mesh(6)]
@@ -128,10 +130,18 @@ def test_criterion_4_phi_oracle(report):
         d = lumped_mass(mesh)
         mu = rng.uniform(0.0, 5.0)
         v = rng.standard_normal(mesh.num_vertices) + 1j * rng.standard_normal(mesh.num_vertices)
-        for which in ("phi0", "phi1"):
-            for tau in (0.02, 0.2, 1.0):
-                got = phi_apply(Lhat, d, mu, tau, v, which=which)
-                ref = dense_phi_oracle(Lhat, d, mu, tau, v, which=which)
+        params = SchemeParams(kappa=kappa, T=1.0, mu=mu)
+        state = SimulationState(mesh=mesh, A=A, psi=v)
+        mu_step = _mu_for(mesh, A, params)
+        F = (1.0 + mu_step - np.abs(v) ** 2) * v
+        for tau in (0.02, 0.2, 1.0):
+            pairs = [
+                (phi_apply(Lhat, d, mu, tau, v), dense_phi_oracle(Lhat, d, mu, tau, v, "phi1")),
+                (step_psi(state, params, A, tau),
+                 dense_phi_oracle(Lhat, d, mu_step, tau, v, "phi0")
+                 - tau * dense_phi_oracle(Lhat, d, mu_step, tau, F, "phi1")),
+            ]
+            for got, ref in pairs:
                 rel = np.linalg.norm(got - ref) / np.linalg.norm(ref)
                 worst = max(worst, rel)
                 checked += 1

@@ -4,6 +4,7 @@ import subprocess
 import numpy as np
 import pytest
 
+import tdglfem.linalg
 import tdglfem.stepper
 from tdglfem.cli import _apply_thread_limit, main
 from tdglfem.mesh import Mesh, format_native
@@ -94,6 +95,18 @@ def test_run_rejects_infinite_horizon_before_stepping(tmp_path, capsys, monkeypa
     assert main(["run", "--config", cfg]) == 2
     assert "T must be finite" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_run_reports_krylov_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tdglfem.linalg, "KRYLOV_MAX_DIM", 4)
+    cfg = write_config(tmp_path, f"scenario = lshape\nM = 8\nT = 1\ntau = 0.2\nout = {tmp_path / 'r'}\n")
+    assert main(["run", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "solver error: phi_apply did not converge at tau=0.2" in err
+    assert "Krylov dimension cap 4" in err
+    assert "last residual estimate" in err
+    assert "m_trust=" in err
 
 
 def test_run_rejects_step_below_time_resolution(tmp_path, capsys, monkeypatch):

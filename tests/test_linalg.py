@@ -17,15 +17,12 @@ from tdglfem.linalg import (
     PHI1_SERIES_CUTOFF,
     CgResult,
     ConvergenceError,
-    KrylovConfig,
     cg_solve,
     dense_phi_oracle,
-    phi0,
     phi1,
     phi_apply,
 )
 from tdglfem.scenarios import lshape_mesh, unit_square_mesh
-from tdglfem.stepper import KRYLOV
 
 
 def random_spd(n, rng):
@@ -141,11 +138,6 @@ def test_pcg_matches_jacobi(rng, tau):
 # -- scalar phi functions ------------------------------------------------------
 
 
-def test_phi0_is_exp():
-    a = np.array([-2.0, 0.0, 0.5])
-    np.testing.assert_allclose(phi0(a), np.exp(a), rtol=1e-15)
-
-
 def test_phi1_reference_values():
     assert phi1(-1.0) == pytest.approx(-0.6321205588285577, abs=1e-15)
     assert phi1(0.0) == -1.0
@@ -177,15 +169,14 @@ def test_phi1_vectorized():
 # -- Krylov phi application ----------------------------------------------------
 
 
-@pytest.mark.parametrize("which", ["phi0", "phi1"])
 @pytest.mark.parametrize("tau", [0.02, 0.2, 1.0])
-def test_phi_apply_matches_oracle(rng, which, tau):
+def test_phi_apply_matches_oracle(rng, tau):
     n = 60
     Lhat = random_hermitian(n, rng)
     d = rng.uniform(0.5, 2.0, n)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    got = phi_apply(Lhat, d, 2.0, tau, v, which=which)
-    want = dense_phi_oracle(Lhat, d, 2.0, tau, v, which=which)
+    got = phi_apply(Lhat, d, 2.0, tau, v)
+    want = dense_phi_oracle(Lhat, d, 2.0, tau, v, "phi1")
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -203,9 +194,9 @@ def eigensolve_dims(monkeypatch):
     dims = []
     inner = linalg._phi_on_tridiag
 
-    def counting(alphas, betas, tau, which):
+    def counting(alphas, betas, tau):
         dims.append(len(alphas))
-        return inner(alphas, betas, tau, which)
+        return inner(alphas, betas, tau)
 
     monkeypatch.setattr(linalg, "_phi_on_tridiag", counting)
     return dims
@@ -213,59 +204,57 @@ def eigensolve_dims(monkeypatch):
 
 @pytest.mark.parametrize("M", [16, 20])
 @pytest.mark.parametrize("tau", ["1/M", 0.2, 1.0])
-@pytest.mark.parametrize("which", ["phi0", "phi1"])
-def test_phi_apply_matches_oracle_at_large_dimension(rng, eigensolve_dims, M, tau, which):
+def test_phi_apply_matches_oracle_at_large_dimension(rng, eigensolve_dims, M, tau):
     # Krylov dimensions of about 60 to 140, where the check schedule skips
     tau = 1.0 / M if tau == "1/M" else tau
     Lhat, d, v = square_phi_problem(M, rng)
-    got = phi_apply(Lhat, d, 2.0, tau, v, which=which, config=KRYLOV)
-    want = dense_phi_oracle(Lhat, d, 2.0, tau, v, which=which)
+    got = phi_apply(Lhat, d, 2.0, tau, v)
+    want = dense_phi_oracle(Lhat, d, 2.0, tau, v, "phi1")
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
     assert eigensolve_dims[-1] >= 50
     assert len(eigensolve_dims) < eigensolve_dims[-1] - eigensolve_dims[0]
 
 
-@pytest.mark.parametrize("which", ["phi0", "phi1"])
-def test_phi_apply_check_count(rng, eigensolve_dims, which):
+def test_phi_apply_check_count(rng, eigensolve_dims):
     Lhat, d, v = square_phi_problem(32, rng)
-    phi_apply(Lhat, d, 2.0, 1.0 / 32, v, which=which, config=KRYLOV)
+    phi_apply(Lhat, d, 2.0, 1.0 / 32, v)
     assert len(eigensolve_dims) <= 14
 
 
-@pytest.mark.parametrize("which", ["phi0", "phi1"])
-def test_phi_apply_single_spurious_pass(rng, monkeypatch, eigensolve_dims, which):
+def test_phi_apply_single_spurious_pass(rng, monkeypatch, eigensolve_dims):
     # a zero last component fakes a passing estimate at one checked dimension;
     # the adjacent-pair rule must not stop there
     Lhat, d, v = square_phi_problem(16, rng)
-    want = phi_apply(Lhat, d, 2.0, 1.0 / 16, v, which=which, config=KRYLOV)
+    want = phi_apply(Lhat, d, 2.0, 1.0 / 16, v)
     checked = list(eigensolve_dims)
     assert len(checked) >= 6
     counting = linalg._phi_on_tridiag
     for k in checked[:-2]:
-        def faking(alphas, betas, tau, which, k=k):
-            y = counting(alphas, betas, tau, which)
+        def faking(alphas, betas, tau, k=k):
+            y = counting(alphas, betas, tau)
             if len(alphas) == k:
                 y[-1] = 0.0
             return y
 
         monkeypatch.setattr(linalg, "_phi_on_tridiag", faking)
-        got = phi_apply(Lhat, d, 2.0, 1.0 / 16, v, which=which, config=KRYLOV)
+        got = phi_apply(Lhat, d, 2.0, 1.0 / 16, v)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("which", ["phi0", "phi1"])
-def test_phi_apply_dimension_cap(rng, eigensolve_dims, which):
+def test_phi_apply_dimension_cap(rng, monkeypatch, eigensolve_dims):
     Lhat, d, v = square_phi_problem(16, rng)
-    want = phi_apply(Lhat, d, 2.0, 0.2, v, which=which, config=KrylovConfig(1e-12, 200))
+    want = phi_apply(Lhat, d, 2.0, 0.2, v)
     m0 = eigensolve_dims[-1]
-    assert m0 < 200
+    assert m0 < linalg.KRYLOV_MAX_DIM
     # capped at its own converged dimension, a call still converges
-    got = phi_apply(Lhat, d, 2.0, 0.2, v, which=which, config=KrylovConfig(1e-12, m0))
+    monkeypatch.setattr(linalg, "KRYLOV_MAX_DIM", m0)
+    got = phi_apply(Lhat, d, 2.0, 0.2, v)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
     # capped well below it, the last two checks are the adjacent pair at the cap
     eigensolve_dims.clear()
+    monkeypatch.setattr(linalg, "KRYLOV_MAX_DIM", m0 // 2)
     with pytest.raises(ConvergenceError):
-        phi_apply(Lhat, d, 2.0, 0.2, v, which=which, config=KrylovConfig(1e-12, m0 // 2))
+        phi_apply(Lhat, d, 2.0, 0.2, v)
     assert eigensolve_dims[-2:] == [m0 // 2 - 1, m0 // 2]
     assert len(eigensolve_dims) < m0 // 4
 
@@ -284,29 +273,38 @@ def test_phi_apply_eigenvector_happy_breakdown(rng):
     Lhat = sp.csr_matrix(lam * np.eye(n, dtype=complex))
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     mu, tau = 2.0, 0.3
-    out = phi_apply(Lhat, d, mu, tau, v, which="phi0")
-    np.testing.assert_allclose(out, math.exp(tau * (lam - mu)) * v, rtol=1e-13)
-    out1 = phi_apply(Lhat, d, mu, tau, v, which="phi1")
     a = tau * (lam - mu)
-    np.testing.assert_allclose(out1, (1 - math.exp(a)) / a * v, rtol=1e-13)
+    out = phi_apply(Lhat, d, mu, tau, v)
+    np.testing.assert_allclose(out, (1 - math.exp(a)) / a * v, rtol=1e-13)
+    # the exponential Euler identity exp(a) = 1 - a phi1(a)
+    np.testing.assert_allclose(v - tau * phi_apply(Lhat, d, mu, tau, (lam - mu) * v),
+                               math.exp(a) * v, rtol=1e-13)
 
 
-def test_phi_apply_respects_max_dim(rng):
+def test_phi_apply_respects_max_dim(rng, monkeypatch):
     n = 80
     Lhat = random_hermitian(n, rng, scale=50.0)
     d = rng.uniform(0.5, 2.0, n)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    with pytest.raises(ConvergenceError):
-        phi_apply(Lhat, d, 0.0, 1.0, v, config=KrylovConfig(tol=1e-14, max_dim=3))
+    monkeypatch.setattr(linalg, "KRYLOV_MAX_DIM", 3)
+    with pytest.raises(ConvergenceError) as err:
+        phi_apply(Lhat, d, 0.0, 1.0, v)
+    # the message names the step, the cap, the last estimate and m_trust
+    message = str(err.value)
+    assert "tau=1.0 within the Krylov dimension cap 3" in message
+    assert f"last residual estimate {err.value.residual:.3e}" in message
+    assert err.value.residual > linalg.KRYLOV_TOL
+    assert "m_trust=3" in message
+    assert err.value.iterations == 3
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"which": "phi2"},
         {"tau": 0.0},
         {"tau": -0.1},
         {"mu": -1.0},
+        {"mu": math.nan},
     ],
 )
 def test_phi_apply_validation(rng, kwargs):
@@ -314,8 +312,7 @@ def test_phi_apply_validation(rng, kwargs):
     base = dict(d=np.ones(6), mu=2.0, tau=0.1, v=np.ones(6, dtype=complex))
     base.update(kwargs)
     with pytest.raises(ValueError):
-        phi_apply(Lhat, base["d"], base["mu"], base["tau"], base["v"],
-                  which=base.get("which", "phi0"))
+        phi_apply(Lhat, base["d"], base["mu"], base["tau"], base["v"])
 
 
 def test_phi_apply_rejects_nonpositive_mass(rng):

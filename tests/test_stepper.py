@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,15 +6,16 @@ import pytest
 
 import tdglfem.stepper as stepper
 from tdglfem.diagnostics import EnergyBreakdown
-from tdglfem.fem import interpolate_edge, num_edge_dofs
+from tdglfem.fem import assemble_Lhat, interpolate_edge, lumped_mass, num_edge_dofs
+from tdglfem.linalg import dense_phi_oracle
 from tdglfem.mesh import Mesh, generate_uniform_square
+from tdglfem.scenarios import lshape_mesh, manufactured_params, unit_square_mesh
 from tdglfem.stepper import (
     AdaptiveTau,
     BoundViolationError,
     EnergyViolationError,
     SchemeParams,
     adaptive_tau,
-    f_stabilized,
     initialize,
     run,
     step_A,
@@ -90,20 +92,7 @@ def test_h_stationary_inference():
     assert quiet_params(H=2.0).dissipation_guaranteed
 
 
-# -- pointwise pieces ----------------------------------------------------------
-
-
-def test_f_stabilized_reference_values():
-    psi = np.array([0.0, 1.0, 1j])
-    np.testing.assert_allclose(f_stabilized(psi, 2.0), [0.0, 2.0, 2j], atol=1e-15)
-
-
-def test_f_stabilized_general(rng):
-    z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    mu = 3.7
-    np.testing.assert_allclose(
-        f_stabilized(z, mu), (1 + mu - np.abs(z) ** 2) * z, atol=1e-14
-    )
+# -- stabilization shift ---------------------------------------------------------
 
 
 def test_choose_mu_fixed_floor(square2):
@@ -284,6 +273,47 @@ def test_run_matches_manual_steps(square2):
         state = run(square2, params)
     np.testing.assert_allclose(state.A, A1, atol=1e-14)
     np.testing.assert_allclose(state.psi, psi1, atol=1e-14)
+
+
+def two_action_step(state, params, A_new, tau):
+    """``exp(tau L) psi - tau phi1(tau L) F`` by dense eigendecomposition."""
+    mesh, psi = state.mesh, state.psi
+    Lhat = assemble_Lhat(mesh, A_new, params.kappa)
+    d = lumped_mass(mesh)
+    mu = stepper._mu_for(mesh, A_new, params)
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    F = (1.0 + mu - np.abs(psi) ** 2) * psi + params.forcing_psi(x, y, state.t)
+    return (dense_phi_oracle(Lhat, d, mu, tau, psi, "phi0")
+            - tau * dense_phi_oracle(Lhat, d, mu, tau, F, "phi1"))
+
+
+@pytest.mark.filterwarnings("ignore:mesh is weakly acute", "ignore:initial order parameter")
+@pytest.mark.parametrize("mesh", [unit_square_mesh(8), lshape_mesh(8)], ids=["square8", "lshape8"])
+@pytest.mark.parametrize("tau", [1.0 / 8, 0.2, 1.0])
+def test_step_psi_matches_dense_two_action_step(mesh, tau):
+    params, _ = manufactured_params(1.0, 1.0, 1.0, tau)
+    params = dataclasses.replace(params, mu="auto")
+    state = initialize(mesh, params.A0, params.psi0, params)
+    A_new = step_A(state, params, tau, tau)
+    got = step_psi(state, params, A_new, tau)
+    want = two_action_step(state, params, A_new, tau)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_run_takes_one_phi_action_per_step(square4, monkeypatch):
+    calls = []
+    inner = stepper.phi_apply
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(stepper, "phi_apply", counting)
+    params = quiet_params(T=1.0, tau=AdaptiveTau(tau_min=0.1, tau_max=0.3), H=1.0, psi0=0.6 + 0.8j)
+    with pytest.warns(UserWarning):
+        state = run(square4, params)
+    assert state.n >= 4
+    assert calls == [row.tau for row in state.history[1:]]
 
 
 def test_energy_decays_lshape_short():
