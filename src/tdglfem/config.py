@@ -1,10 +1,9 @@
-"""Plain-text run configuration: parse, emit, and turn into solver inputs.
+"""Plain-text run configuration: parse and turn into solver inputs.
 
 The format is line oriented ``key = value`` with ``#`` comments and optional
 ``[section]`` grouping lines (sections are cosmetic, keys are global and may
 appear at most once). Unknown keys are errors, not warnings: a typo must not
-silently fall back to a default. ``parse_config(emit_config(cfg)) == cfg``
-round-trips exactly.
+silently fall back to a default.
 
 Example::
 
@@ -16,13 +15,13 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .stepper import AdaptiveTau, SchemeParams
 
 __all__ = ["ConfigError", "RunConfig", "OutputOptions", "PreparedRun",
-           "parse_config", "emit_config", "materialize"]
+           "parse_config", "materialize"]
 
 
 class ConfigError(ValueError):
@@ -142,34 +141,6 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}", key=key)
         values[key] = _PARSERS[key](rawval, key)
     return RunConfig(**values)
-
-
-def _format_value(key, value):
-    if key == "psi0":
-        sign = "+" if value.imag >= 0 else "-"
-        return f"{value.real!r}{sign}{abs(value.imag)!r}i"
-    if key == "snapshots":
-        return ",".join(repr(float(s)) for s in value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def emit_config(cfg: RunConfig) -> str:
-    """Canonical text form; ``parse_config`` round-trips it exactly."""
-    lines = []
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        if f.name == "strict_acute" and value is False:
-            continue  # default, keep emitted files minimal
-        if f.name == "snapshots" and len(value) == 0:
-            continue
-        lines.append(f"{f.name} = {_format_value(f.name, value)}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ The discrete free energy
 
 is the quantity the scheme dissipates step by step (for stationary applied
 field and no forcing); the stepper records it after every accepted step and
-the monotonicity check compares consecutive values. The modulus bound says
+the monotonicity check compares consecutive values. Its covariant part is
+read off the step's own nodal operator, ``1/2 ||((i/kappa) grad + A) psi||^2
+= -1/2 Re(psi^H Lhat(A) psi)``, the quadratic form of the operator the
+exponential step uses. At a uniform state with ``A = 0`` that form rounds to
+within about 1e-14 of zero and can be slightly negative. The modulus bound says
 ``max_i |psi_i| <= 1`` whenever the initial data satisfies it and the
 stabilization shift is large enough; it is checked at every step as well.
 """
@@ -47,10 +51,15 @@ class EnergyBreakdown:
         return self.covariant + self.magnetic + self.potential
 
 
-def discrete_energy(mesh: Mesh, A, psi, H, t: float, kappa: float) -> EnergyBreakdown:
-    """Evaluate the discrete free energy of the pair ``(psi, A)`` at time ``t``."""
+def discrete_energy(mesh: Mesh, Lhat, A, psi, H, t: float) -> EnergyBreakdown:
+    """Evaluate the discrete free energy of the pair ``(psi, A)`` at time ``t``.
+
+    ``Lhat`` must be :func:`fem.assemble_Lhat` at ``A`` (and the run's
+    ``kappa``); the covariant part is ``-1/2 Re(psi^H Lhat psi)``, which the
+    quadrature of the seminorm equals up to rounding.
+    """
     psi = np.asarray(psi, dtype=complex)
-    covariant = 0.5 * fem.covariant_energy_seminorm(mesh, A, psi, kappa)
+    covariant = -0.5 * float(np.vdot(psi, Lhat @ psi).real)
 
     _, wdx = fem.quadrature_info(mesh)
     curls = fem.curl_values(mesh, A)

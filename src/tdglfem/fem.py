@@ -53,7 +53,6 @@ __all__ = [
     "A_system_preconditioner",
     "interpolate_nodal",
     "interpolate_edge",
-    "covariant_energy_seminorm",
     "curl_values",
     "corner_values",
     "edge_max_norm",
@@ -426,9 +425,11 @@ def assemble_Lhat(mesh: Mesh, A, kappa: float) -> sp.csr_matrix:
     - integral(|A|^2 phi_i phi_j)
     + (i/kappa) integral(A . (phi_j grad phi_i - phi_i grad phi_j))``
 
-    so that ``-conj(Psi) @ Lhat @ Psi`` equals the covariant seminorm of the
-    nodal interpolant with values ``Psi`` (the quadrature is exact at this
-    polynomial degree).
+    so that ``-conj(Psi) @ Lhat @ Psi`` equals the covariant seminorm
+    ``||((i/kappa) grad + A) psi||^2`` of the nodal interpolant with values
+    ``Psi`` (the quadrature is exact at this polynomial degree). A time step
+    assembles it once per level: the exponential step applies it and the
+    recorded energy reads its covariant part off it.
     """
     ops = _ops(mesh)
     A = np.asarray(A, dtype=float)
@@ -560,16 +561,6 @@ def interpolate_edge(mesh: Mesh, A_func) -> np.ndarray:
     u[0::2] = np.einsum("ex,ex->e", vert_vals[mesh.edges[:, 0]], t)
     u[1::2] = np.einsum("ex,ex->e", vert_vals[mesh.edges[:, 1]], t)
     return u
-
-
-def covariant_energy_seminorm(mesh: Mesh, A, psi, kappa: float) -> float:
-    """``||((i/kappa) grad + A) psi||_{L2}^2`` for nodal ``psi``, edge ``A``."""
-    ops = _ops(mesh)
-    psi = np.asarray(psi, dtype=complex)
-    A_q = ops.edge_at_quad(np.asarray(A, dtype=float))
-    vals, grad = ops.nodal_at_quad(psi)
-    P_q = (1j / kappa) * grad[:, None, :] + A_q * vals[:, :, None]
-    return float(np.sum(ops.wdx * np.einsum("cqa,cqa->cq", P_q, np.conj(P_q)).real))
 
 
 def curl_values(mesh: Mesh, A) -> np.ndarray:

@@ -16,6 +16,11 @@ in two substeps that never couple implicitly:
    ``r`` vanishes up to the rounding of ``Lhat`` applied to a constant, so
    the step keeps ``psi`` within a few units in the last place of 1.
 
+The recorded energy reads its covariant part off the same ``Lhat`` (see
+:func:`discrete_energy`), so each time level, ``t = 0`` included, assembles
+``Lhat`` exactly once. At a uniform state with ``A = 0`` that covariant part
+rounds to within about 1e-14 of zero and can be slightly negative.
+
 The shift ``mu`` makes ``L`` negative definite; any ``mu >= 1`` gives
 energy dissipation for stationary applied field, and a large enough ``mu``
 (the auto policy scales with ``||A||_inf^2``) keeps ``max |psi_i| <= 1``
@@ -204,7 +209,6 @@ class SimulationState:
     n: int = 0
     tau_current: float = math.nan
     history: list[TimeSeriesRow] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
     energy_violations: list[tuple[float, float, float]] = field(default_factory=list)
     mbp_violations: list[tuple[float, float]] = field(default_factory=list)
     mbp_guaranteed: bool = True
@@ -215,9 +219,9 @@ class SimulationState:
         return [row.total for row in self.history[1:]]
 
 
-def _record_energy(state: SimulationState, params: SchemeParams, tau: float) -> TimeSeriesRow:
+def _record_energy(state: SimulationState, params: SchemeParams, Lhat, tau: float) -> TimeSeriesRow:
     energy: EnergyBreakdown = discrete_energy(
-        state.mesh, state.A, state.psi, params.H, state.t, params.kappa
+        state.mesh, Lhat, state.A, state.psi, params.H, state.t
     )
     max_mod, _ = mbp_stats(state.psi)
     row = TimeSeriesRow(
@@ -245,19 +249,17 @@ def initialize(mesh: Mesh, A0, psi0, params: SchemeParams) -> SimulationState:
         raise ValueError(
             f"mesh has an obtuse angle ({audit.max_angle_deg:.3f} deg); refusing to run"
         )
-    state_warnings = []
     if not audit.strictly_acute:
         if params.strict_acute:
             raise ValueError(
                 "mesh is only weakly acute (right angles present) and "
                 "strict_acute is set"
             )
-        msg = (
+        warnings.warn(
             "mesh is weakly acute (right angles present): the modulus bound "
-            "is verified at runtime rather than guaranteed a priori"
+            "is verified at runtime rather than guaranteed a priori",
+            stacklevel=2,
         )
-        warnings.warn(msg, stacklevel=2)
-        state_warnings.append(msg)
 
     if callable(psi0):
         psi = fem.interpolate_nodal(mesh, psi0)
@@ -278,17 +280,16 @@ def initialize(mesh: Mesh, A0, psi0, params: SchemeParams) -> SimulationState:
     if not np.isfinite(A).all():
         raise ValueError("A0 is not finite at every edge dof")
 
-    state = SimulationState(mesh=mesh, A=A, psi=psi, warnings=state_warnings)
+    state = SimulationState(mesh=mesh, A=A, psi=psi)
     max_mod, idx = mbp_stats(psi)
     if not (max_mod <= 1.0 + 1e-12):
-        msg = (
+        warnings.warn(
             f"initial order parameter has modulus {max_mod:.6g} > 1 at vertex "
-            f"{idx}; the unit modulus bound will be tracked but not enforced"
+            f"{idx}; the unit modulus bound will be tracked but not enforced",
+            stacklevel=2,
         )
-        warnings.warn(msg, stacklevel=2)
-        state.warnings.append(msg)
         state.mbp_guaranteed = False
-    _record_energy(state, params, tau=0.0)
+    _record_energy(state, params, fem.assemble_Lhat(mesh, A, params.kappa), tau=0.0)
     return state
 
 
@@ -328,17 +329,16 @@ def _mu_for(mesh: Mesh, A, params: SchemeParams) -> float:
     return max(float(params.mu), 2.0)
 
 
-def step_psi(state: SimulationState, params: SchemeParams, A_new, tau: float) -> np.ndarray:
+def step_psi(state: SimulationState, params: SchemeParams, A_new, Lhat, tau: float) -> np.ndarray:
     """Exponential Euler order-parameter substep against the fresh potential.
 
     Uses ``state.psi`` and ``state.t`` as the previous level; ``A_new``
-    must be the potential already advanced to the new level. Returns
-    ``psi - tau phi1(tau L) r`` with the ``mu``-free residual ``r = D^{-1}
-    Lhat psi + (1 - |psi|^2) psi + forcing``.
+    must be the potential already advanced to the new level and ``Lhat``
+    its :func:`fem.assemble_Lhat`. Returns ``psi - tau phi1(tau L) r`` with
+    the ``mu``-free residual ``r = D^{-1} Lhat psi + (1 - |psi|^2) psi +
+    forcing``.
     """
     mesh = state.mesh
-    A_new = np.asarray(A_new, dtype=float)
-    Lhat = fem.assemble_Lhat(mesh, A_new, params.kappa)
     d = fem.lumped_mass(mesh)
     mu = _mu_for(mesh, A_new, params)
     psi = state.psi
@@ -365,13 +365,12 @@ def adaptive_tau(step_energies, tau_prev: float, policy: AdaptiveTau) -> float:
     return max(policy.tau_min, tau)
 
 
-def _handle(kind: str, mode: str, message: str, state: SimulationState):
+def _handle(kind: str, mode: str, message: str):
     if mode == "off":
         return
     if mode == "abort":
         raise (EnergyViolationError if kind == "energy" else BoundViolationError)(message)
     warnings.warn(message, stacklevel=3)
-    state.warnings.append(message)
 
 
 def run(
@@ -415,14 +414,15 @@ def run(
 
         A_new = step_A(state, params, tau, t_new)
         state.A = A_new
-        psi_new = step_psi(state, params, A_new, tau)
+        Lhat = fem.assemble_Lhat(mesh, A_new, params.kappa)
+        psi_new = step_psi(state, params, A_new, Lhat, tau)
 
         g_prev = state.history[-1].total
         state.psi = psi_new
         state.t = t_new
         state.n += 1
         state.tau_current = tau
-        row = _record_energy(state, params, tau)
+        row = _record_energy(state, params, Lhat, tau)
 
         # written as ``not <=`` so that NaN counts as a violation
         if check_energy and not (row.total <= g_prev + energy_budget):
@@ -431,7 +431,6 @@ def run(
                 "energy",
                 params.energy_check,
                 f"energy grew from {g_prev!r} to {row.total!r} at t={state.t!r}",
-                state,
             )
         if check_mbp and not (row.max_psi <= 1.0 + MBP_SLACK):
             state.mbp_violations.append((state.t, row.max_psi))
@@ -439,7 +438,6 @@ def run(
                 "mbp",
                 params.mbp_check,
                 f"nodal modulus reached {row.max_psi!r} > 1 at t={state.t!r}",
-                state,
             )
         emit_due()
 

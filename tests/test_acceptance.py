@@ -137,7 +137,7 @@ def test_criterion_4_phi_oracle(report):
         for tau in (0.02, 0.2, 1.0):
             pairs = [
                 (phi_apply(Lhat, d, mu, tau, v), dense_phi_oracle(Lhat, d, mu, tau, v, "phi1")),
-                (step_psi(state, params, A, tau),
+                (step_psi(state, params, A, Lhat, tau),
                  dense_phi_oracle(Lhat, d, mu_step, tau, v, "phi0")
                  - tau * dense_phi_oracle(Lhat, d, mu_step, tau, F, "phi1")),
             ]

@@ -4,7 +4,6 @@ from tdglfem.config import (
     ConfigError,
     OutputOptions,
     RunConfig,
-    emit_config,
     materialize,
     parse_config,
 )
@@ -109,40 +108,6 @@ def test_parse_tau_numeric():
 
 def test_parse_mu_numeric():
     assert parse_config("mu = 3.5").mu == 3.5
-
-
-def test_emit_round_trip():
-    cfg = RunConfig(
-        scenario="square_with_holes",
-        M=8,
-        kappa=4.0,
-        H=1.1,
-        mu="auto",
-        T=100.0,
-        tau="adaptive",
-        tau_max=0.25,
-        psi0=1 - 0.25j,
-        out="results/holes",
-        snapshots=(0.0, 50.0, 100.0),
-        series_cadence=5,
-        strict_acute=True,
-        energy_check="abort",
-    )
-    assert parse_config(emit_config(cfg)) == cfg
-
-
-def test_emit_round_trip_minimal():
-    cfg = RunConfig()
-    text = emit_config(cfg)
-    assert text == "scenario = lshape\n"
-    assert parse_config(text) == cfg
-
-
-def test_emit_formats():
-    text = emit_config(RunConfig(psi0=0.6 - 0.8j, snapshots=(1.0,), strict_acute=True))
-    assert "psi0 = 0.6-0.8i" in text
-    assert "snapshots = 1.0" in text
-    assert "strict_acute = true" in text
 
 
 # -- materialize ------------------------------------------------------------------

@@ -21,7 +21,7 @@ def test_energy_reference_split(square2):
     # A = (-y, x) has curl 2; psi = 0 leaves only magnetic and potential wells
     A = interpolate_edge(square2, lambda x, y: (-y, x))
     psi = np.zeros(square2.num_vertices, dtype=complex)
-    e = discrete_energy(square2, A, psi, 0.0, 0.0, kappa=1.0)
+    e = discrete_energy(square2, assemble_Lhat(square2, A, 1.0), A, psi, 0.0, 0.0)
     assert e.covariant == pytest.approx(0.0, abs=1e-14)
     assert e.magnetic == pytest.approx(2.0, rel=1e-13)
     assert e.potential == pytest.approx(0.25, rel=1e-13)
@@ -32,7 +32,7 @@ def test_energy_reference_split(square2):
 def test_energy_ground_state(square4):
     psi = np.ones(square4.num_vertices, dtype=complex)
     A = np.zeros(num_edge_dofs(square4))
-    e = discrete_energy(square4, A, psi, 0.0, 0.0, kappa=2.0)
+    e = discrete_energy(square4, assemble_Lhat(square4, A, 2.0), A, psi, 0.0, 0.0)
     assert abs(e.total) < 1e-14
 
 
@@ -40,7 +40,7 @@ def test_energy_applied_field_offset(square2):
     # zero state in field H: magnetic part is |Omega| H^2 / 2
     psi = np.ones(square2.num_vertices, dtype=complex)
     A = np.zeros(num_edge_dofs(square2))
-    e = discrete_energy(square2, A, psi, 5.0, 0.0, kappa=10.0)
+    e = discrete_energy(square2, assemble_Lhat(square2, A, 10.0), A, psi, 5.0, 0.0)
     assert e.magnetic == pytest.approx(12.5, rel=1e-13)
     assert e.covariant == pytest.approx(0.0, abs=1e-13)
 
@@ -48,7 +48,8 @@ def test_energy_applied_field_offset(square2):
 def test_energy_time_dependent_H(square2):
     psi = np.ones(square2.num_vertices, dtype=complex)
     A = np.zeros(num_edge_dofs(square2))
-    e = discrete_energy(square2, A, psi, lambda x, y, t: t * (x + y), 2.0, kappa=1.0)
+    L = assemble_Lhat(square2, A, 1.0)
+    e = discrete_energy(square2, L, A, psi, lambda x, y, t: t * (x + y), 2.0)
     # H(x,y,2) = 2(x+y): magnetic = 1/2 int 4 (x+y)^2 = 2 * 7/6
     assert e.magnetic == pytest.approx(7.0 / 3.0, rel=1e-12)
 

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from tdglfem import fem
+from tdglfem.diagnostics import discrete_energy
 from tdglfem.fem import (
     assemble_A_rhs,
     assemble_A_system,
     assemble_Lhat,
     corner_values,
-    covariant_energy_seminorm,
     curl_curl_matrix,
     curl_values,
     edge_mass_matrix,
@@ -240,25 +240,38 @@ def test_Lhat_hermitian(square4, rng, kappa):
     np.testing.assert_allclose(L, L.conj().T, atol=1e-13)
 
 
+def quadrature_seminorm(mesh, A, psi, kappa):
+    """``||((i/kappa) grad + A) psi||^2`` integrated by the degree-4 rule."""
+    _, wdx = quadrature_info(mesh)
+    A_q, _ = evaluate_edge(mesh, A)
+    vals, grad = evaluate_nodal(mesh, psi)
+    P_q = (1j / kappa) * grad[:, None, :] + A_q * vals[:, :, None]
+    return float(np.sum(wdx * np.einsum("cqa,cqa->cq", P_q, np.conj(P_q)).real))
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [unit_square_mesh(4), lshape_mesh(8), holed_square_mesh(1)],
+    ids=["square4", "lshape8", "holed1"],
+)
 @pytest.mark.parametrize("kappa", [1.0, 3.0])
-def test_Lhat_covariant_identity(square4, rng, kappa):
+def test_Lhat_covariant_identity(mesh, rng, kappa):
     # quadratic form of -Lhat equals the covariant seminorm squared
-    A = rng.standard_normal(num_edge_dofs(square4))
-    psi = rng.standard_normal(square4.num_vertices) + 1j * rng.standard_normal(
-        square4.num_vertices
-    )
-    L = assemble_Lhat(square4, A, kappa)
+    A = rng.standard_normal(num_edge_dofs(mesh))
+    psi = rng.standard_normal(mesh.num_vertices) + 1j * rng.standard_normal(mesh.num_vertices)
+    L = assemble_Lhat(mesh, A, kappa)
     quad = -np.vdot(psi, L @ psi).real
-    semi = covariant_energy_seminorm(square4, A, psi, kappa)
-    assert quad == pytest.approx(semi, rel=1e-11, abs=1e-13)
+    semi = quadrature_seminorm(mesh, A, psi, kappa)
+    assert abs(quad - semi) <= 1e-12 * semi
 
 
 def test_covariant_seminorm_gauge_example(square2):
-    # psi = 1, A = const: integrand is |A|^2
+    # psi = 1, A = const: integrand is |A|^2, so the covariant energy is 5/2
     psi = np.ones(square2.num_vertices, dtype=complex)
     A = interpolate_edge(square2, lambda x, y: (0 * x + 2.0, 0 * y + 1.0))
-    semi = covariant_energy_seminorm(square2, A, psi, 1.0)
-    assert semi == pytest.approx(5.0, rel=1e-13)
+    L = assemble_Lhat(square2, A, 1.0)
+    e = discrete_energy(square2, L, A, psi, 0.0, 0.0)
+    assert e.covariant == pytest.approx(2.5, rel=1e-13)
 
 
 # -- A-step system ------------------------------------------------------------

@@ -168,7 +168,6 @@ def test_initialize_refuses_obtuse():
 def test_initialize_warns_weakly_acute(square2):
     with pytest.warns(UserWarning, match="weakly acute"):
         state = initialize(square2, None, 1.0 + 0j, quiet_params())
-    assert state.warnings
     assert state.mbp_guaranteed
 
 
@@ -268,7 +267,7 @@ def test_run_matches_manual_steps(square2):
     with pytest.warns(UserWarning):
         state0 = initialize(square2, params.A0, params.psi0, params)
     A1 = step_A(state0, params, 0.25, 0.25)
-    psi1 = step_psi(state0, params, A1, 0.25)
+    psi1 = step_psi(state0, params, A1, assemble_Lhat(square2, A1, params.kappa), 0.25)
     with pytest.warns(UserWarning):
         state = run(square2, params)
     np.testing.assert_allclose(state.A, A1, atol=1e-14)
@@ -295,7 +294,7 @@ def test_step_psi_matches_dense_two_action_step(mesh, tau):
     params = dataclasses.replace(params, mu="auto")
     state = initialize(mesh, params.A0, params.psi0, params)
     A_new = step_A(state, params, tau, tau)
-    got = step_psi(state, params, A_new, tau)
+    got = step_psi(state, params, A_new, assemble_Lhat(mesh, A_new, params.kappa), tau)
     want = two_action_step(state, params, A_new, tau)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -314,6 +313,25 @@ def test_run_takes_one_phi_action_per_step(square4, monkeypatch):
         state = run(square4, params)
     assert state.n >= 4
     assert calls == [row.tau for row in state.history[1:]]
+
+
+def test_run_assembles_Lhat_once_per_level(square4, monkeypatch):
+    # one Lhat per accepted step plus one at t = 0, shared by the psi-step
+    # and the recorded energy
+    calls = []
+    inner = stepper.fem.assemble_Lhat
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(stepper.fem, "assemble_Lhat", counting)
+    params = quiet_params(T=1.0, tau=AdaptiveTau(tau_min=0.1, tau_max=0.3), H=1.0, psi0=0.6 + 0.8j)
+    with pytest.warns(UserWarning):
+        state = run(square4, params)
+    assert state.n >= 4
+    assert len(calls) == state.n + 1
+    np.testing.assert_array_equal(calls[-1], state.A)
 
 
 def test_energy_decays_lshape_short():
@@ -358,7 +376,7 @@ def rigged_energy(monkeypatch):
     # replace the recorded energy with a strictly increasing sequence
     counter = {"k": 0}
 
-    def fake(mesh, A, psi, H, t, kappa):
+    def fake(mesh, Lhat, A, psi, H, t):
         counter["k"] += 1
         return EnergyBreakdown(float(counter["k"]), 0.0, 0.0)
 
