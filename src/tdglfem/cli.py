@@ -250,14 +250,16 @@ def main(argv=None) -> int:
     from .config import ConfigError
     from .linalg import ConvergenceError
     from .mesh import EmptyMeshError, MalformedFileError, UnsupportedFormatError
-    from .stepper import BoundViolationError, EnergyViolationError
+    from .stepper import BoundViolationError, EnergyViolationError, NonFiniteStateError
 
     try:
         return args.func(args)
     except (ConfigError, UnsupportedFormatError, MalformedFileError, EmptyMeshError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, EnergyViolationError, BoundViolationError, ValueError) as exc:
+    except (
+        ConvergenceError, EnergyViolationError, BoundViolationError, NonFiniteStateError, ValueError
+    ) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
 

@@ -18,6 +18,9 @@ Assembly is vectorized over cells. Per-mesh geometry, evaluation tensors and
 sparsity patterns are computed once and cached (keyed on mesh identity), so
 the per-time-step cost is a handful of einsums plus a bincount scatter.
 
+A field is linear in its corner vectors, so the weighted edge masses are
+``cmap^T (W kron I_2) cmap`` from each cell's 3x3 nodal weights ``W``.
+
 The edge-space solves (the vector-potential step and the Ritz projection)
 are preconditioned with ``P_c = c diag(M) + K``. The curl-curl matrix
 ``K = C^T D C`` has rank at most ``n_cells`` (``C`` holds the per-cell curl
@@ -25,6 +28,9 @@ rows, ``D`` the cell areas), so the Woodbury identity reduces ``P_c^{-1}``
 to one SPD solve with ``G_c = D^{-1} + (1/c) C diag(M)^{-1} C^T`` on the
 cells. ``G_c`` couples only cells that share an edge; numbered by
 Cuthill-McKee it is banded and is factored with LAPACK's banded Cholesky.
+Where a cost rule finds them too dear, vertex-block Jacobi is used: the
+blocks of ``c M + K`` over the dofs at each vertex (each dof sits at one),
+inverted once per ``c`` into one block-diagonal CSR matrix.
 """
 
 from __future__ import annotations
@@ -110,6 +116,9 @@ class _MeshOps:
     #: ``(c, banded Cholesky factor of G_c)`` for the latest ``c``
     _cell_factor = None
 
+    #: ``(c, block-diagonal CSR inverse of the vertex blocks of c M + K)`` for the latest ``c``
+    _block_inverse = None
+
     def __init__(self, mesh: Mesh):
         # arrays only: a reference to the mesh would keep it alive as a cache key
         self.cells = cells = mesh.cells
@@ -125,6 +134,7 @@ class _MeshOps:
 
         rule = DEGREE4
         self.lam = rule.points  # (nq, 3)
+        self._lam_pairs = np.einsum("qv,qw->qvw", self.lam, self.lam).reshape(-1, 9)
         self.qpts = physical_points(rule, p)  # (nc, nq, 2)
         self.wdx = self.area[:, None] * rule.weights[None, :]  # (nc, nq)
 
@@ -175,11 +185,12 @@ class _MeshOps:
         self.curl_coeff = np.einsum("ck,cki->ci", r, cmap)
 
         self.n_edge_dofs = 2 * mesh.num_edges
+        self.dof_vertex = mesh.edges.ravel()  # dof 2e sits at edges[e, 0], 2e+1 at edges[e, 1]
         rows6 = np.broadcast_to(dofs[:, :, None], (nc, 6, 6))
         cols6 = np.broadcast_to(dofs[:, None, :], (nc, 6, 6))
         self.edge_pattern = CsrPattern(rows6, cols6, self.n_edge_dofs)
         self._edge_mass_data = self.edge_pattern.sum_duplicates(
-            self.edge_weighted_local(np.ones_like(self.wdx))
+            self.edge_mass_local(self.nodal_weighted_local(1.0))
         )
         curl_local = (
             self.area[:, None, None]
@@ -190,14 +201,16 @@ class _MeshOps:
 
     # -- element kernels ---------------------------------------------------
 
-    def edge_weighted_local(self, w_q) -> np.ndarray:
-        """Local matrices of ``(w field, testfield)`` for a scalar weight."""
-        return np.einsum(
-            "cq,cqai,cqaj->cij", self.wdx * w_q, self.eval_q, self.eval_q, optimize=True
-        )
-
     def nodal_weighted_local(self, w_q) -> np.ndarray:
-        return np.einsum("cq,qv,qw->cvw", self.wdx * w_q, self.lam, self.lam)
+        """Local matrices ``integral(w phi_v phi_w)`` for a scalar weight, (nc, 3, 3)."""
+        return ((self.wdx * w_q) @ self._lam_pairs).reshape(-1, 3, 3)
+
+    def edge_mass_local(self, W) -> np.ndarray:
+        """Local ``(w field, testfield)`` from the nodal matrices ``W`` of ``w``,
+        as ``cmap^T (W kron I_2) cmap``."""
+        cmap = self.cmap
+        corner = (W @ cmap.reshape(-1, 3, 12)).reshape(-1, 6, 6)
+        return cmap.transpose(0, 2, 1) @ corner
 
     def edge_load(self, F_q) -> np.ndarray:
         """Scatter ``integral(F . testfield)`` to the global dof vector."""
@@ -314,10 +327,56 @@ class _MeshOps:
 
         return apply
 
+    @cached_property
+    def _vertex_blocks(self):
+        """CSR positions of the vertex-block entries of ``c M + K`` and their flat
+        slots in an identity-padded ``(n_vertices, b, b)`` stack; the int32 CSR
+        layout of the inverse with the stack slot of each entry. Each row holds
+        its whole block, as the inverse fills in dof pairs that share no cell."""
+        vertex, n = self.dof_vertex, self.n_edge_dofs
+        order = np.argsort(vertex, kind="stable")
+        count = np.bincount(vertex)
+        start = np.cumsum(count) - count
+        slot = np.empty(n, dtype=np.int64)
+        slot[order] = np.arange(n) - start[vertex[order]]
+        b = int(count.max())
+
+        at = vertex[self.cell_dofs]
+        same = at[:, :, None] == at[:, None, :]  # local dof pairs at one corner
+        rows = np.broadcast_to(self.cell_dofs[:, :, None], same.shape)[same]
+        cols = np.broadcast_to(self.cell_dofs[:, None, :], same.shape)[same]
+        pos = self.edge_pattern._inv.reshape(same.shape)[same].astype(np.int32)
+        fill = ((vertex[rows] * b + slot[rows]) * b + slot[cols]).astype(np.int32)
+
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(count[vertex], out=indptr[1:])
+        row = np.repeat(np.arange(n), count[vertex])
+        k = np.arange(indptr[-1]) - indptr[row]
+        indices = order[start[vertex[row]] + k].astype(np.int32)
+        take = ((vertex[row] * b + slot[row]) * b + k).astype(np.int32)
+        return pos, fill, take, indices, indptr, b
+
+    def vertex_block_preconditioner(self, c: float):
+        """``r -> B_c^{-1} r`` for ``B_c`` the vertex-block diagonal of ``c M + K``.
+
+        The inverse of the latest ``c`` is kept; another ``c`` rebuilds it.
+        """
+        if self._block_inverse is None or self._block_inverse[0] != c:
+            pos, fill, take, indices, indptr, b = self._vertex_blocks
+            blocks = np.tile(np.eye(b), (len(self.d), 1, 1))
+            blocks.reshape(-1)[fill] = c * self._edge_mass_data[pos] + self._curl_data[pos]
+            data = np.linalg.inv(blocks).reshape(-1)[take]
+            n = self.n_edge_dofs
+            self._block_inverse = (c, sp.csr_matrix((data, indices, indptr), shape=(n, n)))
+        return self._block_inverse[1].dot
+
     def curl_preconditioner(self, s: float, c: float):
         """``P_c^{-1}`` for a system between ``s M + K`` and ``(2c - s) M + K``,
-        or ``None`` where :meth:`cell_space_pays` prefers Jacobi."""
-        return self.cell_space_preconditioner(c) if self.cell_space_pays(s) else None
+        or vertex-block Jacobi on ``c M + K`` where :meth:`cell_space_pays`
+        finds the cell-space solve too dear."""
+        if self.cell_space_pays(s):
+            return self.cell_space_preconditioner(c)
+        return self.vertex_block_preconditioner(c)
 
 
 _pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"))
@@ -457,7 +516,7 @@ def assemble_A_system(mesh: Mesh, psi, sigma: float, tau: float) -> sp.csr_matri
         raise ValueError("tau must be positive")
     ops = _ops(mesh)
     psi_q, _ = ops.nodal_at_quad(np.asarray(psi, dtype=complex))
-    w_loc = ops.edge_weighted_local(np.abs(psi_q) ** 2)
+    w_loc = ops.edge_mass_local(ops.nodal_weighted_local(np.abs(psi_q) ** 2))
     data = (
         (sigma / tau) * ops._edge_mass_data
         + ops._curl_data
@@ -529,15 +588,16 @@ def ritz_projection(mesh: Mesh, A_func, curl_func, *, tol: float = 1e-12) -> np.
 
 
 def A_system_preconditioner(mesh: Mesh, sigma: float, tau: float):
-    """Preconditioner for :func:`assemble_A_system`, or ``None`` for Jacobi.
+    """Preconditioner ``r -> P^{-1} r`` for :func:`assemble_A_system`.
 
     With ``|psi| <= 1`` the system lies between ``(sigma/tau) M + K`` and
     ``(sigma/tau + 1) M + K``. On the built-in meshes ``0.179 diag(M) <= M
     <= 2.76 diag(M)`` at every mesh size, so ``P_c = c diag(M) + K`` at the
     midpoint ``c = sigma/tau + 1/2`` bounds the condition number by ``15.4
-    (1 + tau/sigma)``, and PCG takes about 50 iterations. Jacobi is returned
-    instead where a deterministic estimate of the work, from the mesh and
-    ``sigma/tau``, says it is cheaper (see ``_MeshOps.cell_space_pays``).
+    (1 + tau/sigma)``, and PCG takes about 50 iterations. Vertex-block
+    Jacobi on ``c M + K`` is returned instead where a deterministic estimate
+    of the work, from the mesh and ``sigma/tau``, says the banded cell-space
+    solves cost more than they save (see ``_MeshOps.cell_space_pays``).
     """
     return _ops(mesh).curl_preconditioner(sigma / tau, sigma / tau + 0.5)
 

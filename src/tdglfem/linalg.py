@@ -4,11 +4,12 @@ The vector-potential step needs one SPD solve per step; a hand-rolled
 preconditioned conjugate gradient keeps the stopping rule explicit
 (relative residual, and a zero right-hand side returns zero in zero
 iterations). The preconditioner is the caller's: Jacobi by default, or the
-curl-exact ``P_c = c diag(M) + K`` that ``fem.A_system_preconditioner``
-builds. Since ``|psi| <= 1`` bounds the ``|psi|^2``-weighted mass by the
+one ``fem.A_system_preconditioner`` builds, the curl-exact ``P_c = c diag(M)
++ K``. Since ``|psi| <= 1`` bounds the ``|psi|^2``-weighted mass by the
 mass matrix, ``P_c`` bounds the condition number by ``15.4 (1 + tau/sigma)``
 on the built-in meshes, whatever ``h``: about 50 iterations to ``1e-12``.
-A fixed cost rule keeps Jacobi where its cheaper iterations win: when
+A fixed cost rule takes vertex-block Jacobi instead (the blocks of ``c M +
+K`` over the dofs at each vertex) where its cheaper iterations win: when
 ``sqrt(1 + rho) <= 1 + 4 n_cells (bw + 1) / nnz``, with ``rho = (tau/sigma)
 tr(K) / tr(M)`` and ``bw`` the band width of the cell-space factor.
 

@@ -56,6 +56,7 @@ __all__ = [
     "SimulationState",
     "EnergyViolationError",
     "BoundViolationError",
+    "NonFiniteStateError",
     "initialize",
     "step_A",
     "step_psi",
@@ -88,6 +89,10 @@ class EnergyViolationError(RuntimeError):
 
 class BoundViolationError(RuntimeError):
     """A nodal modulus exceeded 1 while the bound was guaranteed."""
+
+
+class NonFiniteStateError(RuntimeError):
+    """A step produced a non-finite ``psi`` or ``A``."""
 
 
 def _time_slack(T: float) -> float:
@@ -205,6 +210,7 @@ class SimulationState:
     mesh: Mesh
     A: np.ndarray
     psi: np.ndarray
+    A_prev: np.ndarray | None = None  # ``A`` one level back; None before the first step
     t: float = 0.0
     n: int = 0
     tau_current: float = math.nan
@@ -296,9 +302,11 @@ def initialize(mesh: Mesh, A0, psi0, params: SchemeParams) -> SimulationState:
 def step_A(state: SimulationState, params: SchemeParams, tau: float, t_n: float) -> np.ndarray:
     """Backward-Euler vector-potential substep; returns the new dof vector.
 
-    The previous iterate warm-starts the conjugate gradient solve, which the
-    stopping rule (relative to the right-hand side) keeps deterministic. The
-    preconditioner is the one :func:`fem.A_system_preconditioner` picks.
+    The conjugate gradient solve starts from the linear extrapolation
+    ``A_n + (tau / tau_prev) (A_n - A_{n-1})`` (from ``A_n`` on the first
+    step); the stopping rule, relative to the right-hand side, keeps it
+    deterministic. The preconditioner is the one
+    :func:`fem.A_system_preconditioner` picks.
     """
     mesh = state.mesh
     system = fem.assemble_A_system(mesh, state.psi, params.sigma, tau)
@@ -314,7 +322,10 @@ def step_A(state: SimulationState, params: SchemeParams, tau: float, t_n: float)
         forcing=params.forcing_A,
     )
     precond = fem.A_system_preconditioner(mesh, params.sigma, tau)
-    return cg_solve(system, rhs, tol=CG_TOL, x0=state.A, precond=precond).x
+    x0 = state.A
+    if state.A_prev is not None:
+        x0 = state.A + (tau / state.tau_current) * (state.A - state.A_prev)
+    return cg_solve(system, rhs, tol=CG_TOL, x0=x0, precond=precond).x
 
 
 def _mu_for(mesh: Mesh, A, params: SchemeParams) -> float:
@@ -413,7 +424,7 @@ def run(
         t_new = state.t + tau
 
         A_new = step_A(state, params, tau, t_new)
-        state.A = A_new
+        state.A_prev, state.A = state.A, A_new
         Lhat = fem.assemble_Lhat(mesh, A_new, params.kappa)
         psi_new = step_psi(state, params, A_new, Lhat, tau)
 
@@ -439,6 +450,9 @@ def run(
                 params.mbp_check,
                 f"nodal modulus reached {row.max_psi!r} > 1 at t={state.t!r}",
             )
+        for name, value in (("A", state.A), ("psi", state.psi)):
+            if not np.isfinite(value).all():
+                raise NonFiniteStateError(f"{name} is not finite at t={state.t!r}")
         emit_due()
 
     return state

@@ -109,6 +109,17 @@ def test_run_reports_krylov_cap(tmp_path, capsys, monkeypatch):
     assert "m_trust=" in err
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_run_reports_nonfinite_state(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        tdglfem.stepper, "step_psi", lambda state, *args: np.full_like(state.psi, np.nan)
+    )
+    cfg = write_config(tmp_path, f"scenario = lshape\nM = 2\nT = 1\ntau = 0.25\n"
+                                 f"energy_check = off\nmbp_check = off\nout = {tmp_path / 'r'}\n")
+    assert main(["run", "--config", cfg]) == 3
+    assert "solver error: psi is not finite at t=0.25" in capsys.readouterr().err
+
+
 def test_run_rejects_step_below_time_resolution(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the time loop started")

@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from tdglfem import fem
 from tdglfem.diagnostics import discrete_energy
@@ -265,6 +266,49 @@ def test_Lhat_covariant_identity(mesh, rng, kappa):
     assert abs(quad - semi) <= 1e-12 * semi
 
 
+MESH_FAMILIES = pytest.mark.parametrize(
+    "mesh",
+    [unit_square_mesh(4), lshape_mesh(8), holed_square_mesh(1)],
+    ids=["square4", "lshape8", "holed1"],
+)
+
+
+def relative_gap(a, b):
+    return spla.norm(a - b) / spla.norm(b)
+
+
+def quadrature_edge_mass(mesh, w_q):
+    """``(w field, testfield)`` by the degree-4 rule, one einsum over all points."""
+    ops = fem._ops(mesh)
+    local = np.einsum("cq,cqai,cqaj->cij", ops.wdx * w_q, ops.eval_q, ops.eval_q)
+    return ops.edge_pattern.assemble(local)
+
+
+@MESH_FAMILIES
+def test_A_system_matches_quadrature(mesh, rng):
+    n = mesh.num_vertices
+    psi = rng.uniform(0, 1, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    psi_q, _ = evaluate_nodal(mesh, psi)
+    M = quadrature_edge_mass(mesh, 1.0)
+    assert relative_gap(edge_mass_matrix(mesh), M) <= 1e-13
+    ref = (1.3 / 0.07) * M + curl_curl_matrix(mesh) + quadrature_edge_mass(mesh, np.abs(psi_q) ** 2)
+    assert relative_gap(assemble_A_system(mesh, psi, sigma=1.3, tau=0.07), ref) <= 1e-13
+
+
+@MESH_FAMILIES
+def test_Lhat_field_mass_matches_quadrature(mesh, rng):
+    # the real part of Lhat(A) - Lhat(0) is -integral(|A|^2 phi_i phi_j); a
+    # large kappa keeps the cancelled stiffness term far below the tolerance
+    A = rng.standard_normal(num_edge_dofs(mesh))
+    A_q, _ = evaluate_edge(mesh, A)
+    _, wdx = quadrature_info(mesh)
+    ops = fem._ops(mesh)
+    local = np.einsum("cq,qv,qw->cvw", wdx * np.einsum("cqa,cqa->cq", A_q, A_q), ops.lam, ops.lam)
+    ref = -ops.nodal_pattern.assemble(local)
+    term = (assemble_Lhat(mesh, A, 1e3) - assemble_Lhat(mesh, 0 * A, 1e3)).real
+    assert relative_gap(term, ref) <= 1e-13
+
+
 def test_covariant_seminorm_gauge_example(square2):
     # psi = 1, A = const: integrand is |A|^2, so the covariant energy is 5/2
     psi = np.ones(square2.num_vertices, dtype=complex)
@@ -415,6 +459,44 @@ def test_curl_preconditioner_refactors_on_new_c(square4, rng):
     np.testing.assert_array_equal(ops.cell_space_preconditioner(2.0)(x), first)
 
 
+def vertex_block_part(mesh, c):
+    """Entries of ``c M + K`` between dofs sitting at one vertex, dense."""
+    P = (c * edge_mass_matrix(mesh) + curl_curl_matrix(mesh)).toarray()
+    at = mesh.edges.ravel()
+    return np.where(at[:, None] == at[None, :], P, 0.0)
+
+
+@pytest.mark.parametrize("c", [1.0, 50.5])
+def test_vertex_blocks_invert_block_diagonal(rng, c):
+    mesh = holed_square_mesh(1)
+    B = vertex_block_part(mesh, c)
+    apply = fem._ops(mesh).vertex_block_preconditioner(c)
+    x = rng.standard_normal(len(B))
+    np.testing.assert_allclose(apply(B @ x), x, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("c", [1.0, 5.5, 50.5])
+def test_vertex_blocks_symmetric_positive(rng, c):
+    mesh = holed_square_mesh(2)
+    apply = fem._ops(mesh).vertex_block_preconditioner(c)
+    n = num_edge_dofs(mesh)
+    for _ in range(3):
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        xPy, yPx = x @ apply(y), y @ apply(x)
+        assert abs(xPy - yPx) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(apply(y))
+        assert x @ apply(x) > 0
+
+
+def test_vertex_blocks_refactor_on_new_c(rng):
+    mesh = holed_square_mesh(1)
+    ops = fem._ops(mesh)
+    x = rng.standard_normal(num_edge_dofs(mesh))
+    first = ops.vertex_block_preconditioner(2.0)(x)
+    seventh = ops.vertex_block_preconditioner(7.0)(x)
+    assert not np.allclose(seventh, first)
+    np.testing.assert_array_equal(ops.vertex_block_preconditioner(2.0)(x), first)
+
+
 def test_cost_rule_choices():
     holed = fem._ops(holed_square_mesh(8))
     assert not holed.cell_space_pays(1 / 0.02)
@@ -445,6 +527,7 @@ def test_ops_cache_releases_mesh():
     mesh = generate_uniform_square(4)
     assemble_A_system(mesh, np.ones(mesh.num_vertices, dtype=complex), sigma=1.0, tau=0.1)
     fem.A_system_preconditioner(mesh, 1.0, 0.1)(np.ones(num_edge_dofs(mesh)))
+    fem._ops(mesh).vertex_block_preconditioner(10.5)(np.ones(num_edge_dofs(mesh)))
     assert mesh in fem._OPS_CACHE
     ref = weakref.ref(mesh)
     del mesh

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tdglfem import linalg
+from tdglfem import fem, linalg
 from tdglfem.fem import (
     A_system_preconditioner,
     assemble_A_system,
@@ -22,7 +22,7 @@ from tdglfem.linalg import (
     phi1,
     phi_apply,
 )
-from tdglfem.scenarios import lshape_mesh, unit_square_mesh
+from tdglfem.scenarios import holed_square_mesh, lshape_mesh, unit_square_mesh
 
 
 def random_spd(n, rng):
@@ -97,18 +97,20 @@ def test_cg_exact_preconditioner_one_iteration(rng):
     assert res.iterations == 1
 
 
-def a_system(M, tau, rng):
-    mesh = lshape_mesh(M)
+def a_system(mesh, tau, rng):
     n = mesh.num_vertices
     psi = rng.uniform(0, 1, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-    return mesh, assemble_A_system(mesh, psi, sigma=1.0, tau=tau)
+    return assemble_A_system(mesh, psi, sigma=1.0, tau=tau)
 
 
-@pytest.mark.parametrize("preconditioned", [False, True])
-def test_cg_nan_rhs_raises_at_once(rng, preconditioned):
-    mesh, S = a_system(8, 0.1, rng)
-    precond = A_system_preconditioner(mesh, 1.0, 0.1) if preconditioned else None
-    assert (precond is not None) == preconditioned
+@pytest.mark.parametrize("path", ["jacobi", "cell", "block"])
+def test_cg_nan_rhs_raises_at_once(rng, path):
+    mesh = holed_square_mesh(2) if path == "block" else lshape_mesh(8)
+    S = a_system(mesh, 0.1, rng)
+    precond = None
+    if path != "jacobi":
+        assert fem._ops(mesh).cell_space_pays(1 / 0.1) == (path == "cell")
+        precond = A_system_preconditioner(mesh, 1.0, 0.1)
     rhs = rng.standard_normal(S.shape[0])
     rhs[3] = np.nan
     with pytest.raises(ConvergenceError, match="not finite") as err:
@@ -119,20 +121,35 @@ def test_cg_nan_rhs_raises_at_once(rng, preconditioned):
 @pytest.mark.parametrize("M", [16, 32, 64])
 @pytest.mark.parametrize("tau", [0.02, 0.2])
 def test_pcg_iterations_do_not_grow_with_mesh(rng, M, tau):
-    mesh, S = a_system(M, tau, rng)
+    mesh = lshape_mesh(M)
+    S = a_system(mesh, tau, rng)
+    assert fem._ops(mesh).cell_space_pays(1 / tau)
     precond = A_system_preconditioner(mesh, 1.0, tau)
-    assert precond is not None
     res = cg_solve(S, rng.standard_normal(S.shape[0]), precond=precond)
     assert res.iterations <= 70
 
 
 @pytest.mark.parametrize("tau", [0.02, 0.2])
 def test_pcg_matches_jacobi(rng, tau):
-    mesh, S = a_system(16, tau, rng)
+    mesh = lshape_mesh(16)
+    S = a_system(mesh, tau, rng)
     rhs = rng.standard_normal(S.shape[0])
     jacobi = cg_solve(S, rhs).x
     pcg = cg_solve(S, rhs, precond=A_system_preconditioner(mesh, 1.0, tau)).x
     assert np.linalg.norm(pcg - jacobi) <= 1e-10 * np.linalg.norm(jacobi)
+
+
+@pytest.mark.parametrize("M", [2, 4])
+@pytest.mark.parametrize("tau", [0.02, 0.2])
+def test_vertex_block_pcg_matches_jacobi(rng, M, tau):
+    mesh = holed_square_mesh(M)
+    S = a_system(mesh, tau, rng)
+    assert not fem._ops(mesh).cell_space_pays(1 / tau)
+    rhs = rng.standard_normal(S.shape[0])
+    jacobi = cg_solve(S, rhs)
+    pcg = cg_solve(S, rhs, precond=A_system_preconditioner(mesh, 1.0, tau))
+    assert np.linalg.norm(pcg.x - jacobi.x) <= 1e-10 * np.linalg.norm(jacobi.x)
+    assert pcg.iterations <= 0.6 * jacobi.iterations
 
 
 # -- scalar phi functions ------------------------------------------------------

@@ -14,6 +14,7 @@ from tdglfem.stepper import (
     AdaptiveTau,
     BoundViolationError,
     EnergyViolationError,
+    NonFiniteStateError,
     SchemeParams,
     adaptive_tau,
     initialize,
@@ -448,3 +449,39 @@ def test_checks_catch_nan(square2, monkeypatch, check, error):
     with pytest.warns(UserWarning, match="weakly acute"):
         with pytest.raises(error, match="nan"):
             run(square2, params)
+
+
+@pytest.mark.filterwarnings("ignore:mesh is weakly acute")
+def test_nonfinite_step_raises_at_once(square2, monkeypatch):
+    # with both checks off, a NaN psi used to surface one step later as a CG failure
+    monkeypatch.setattr(
+        stepper, "step_psi", lambda state, *args: np.full_like(state.psi, math.nan)
+    )
+    params = quiet_params(T=0.5, tau=0.25, energy_check="off", mbp_check="off")
+    with pytest.raises(NonFiniteStateError, match="psi is not finite at t=0.25"):
+        run(square2, params)
+
+
+@pytest.mark.filterwarnings("ignore:mesh is weakly acute")
+def test_cg_starts_from_extrapolated_potential(monkeypatch):
+    calls = []
+    real = stepper.cg_solve
+
+    def recording(matrix, rhs, **kw):
+        result = real(matrix, rhs, **kw)
+        calls.append((np.array(kw["x0"]), result.x))
+        return result
+
+    monkeypatch.setattr(stepper, "cg_solve", recording)
+    mesh = lshape_mesh(4)
+    params = quiet_params(kappa=3.0, T=1.0, H=2.0, tau=AdaptiveTau(alpha=10.0, tau_min=0.05))
+    state = run(mesh, params)
+    taus = [row.tau for row in state.history[1:]]
+    assert len(calls) == len(taus) >= 4 and len(set(taus)) > 2
+    np.testing.assert_array_equal(calls[0][0], np.zeros(num_edge_dofs(mesh)))
+    previous = [np.zeros(num_edge_dofs(mesh))] + [x for _, x in calls]
+    for k in range(1, len(calls)):
+        A_n, A_prev = previous[k], previous[k - 1]
+        expected = A_n + (taus[k] / taus[k - 1]) * (A_n - A_prev)
+        atol = 1e-14 * np.abs(expected).max()
+        np.testing.assert_allclose(calls[k][0], expected, rtol=0, atol=atol)
