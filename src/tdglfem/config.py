@@ -15,6 +15,7 @@ Example::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -91,9 +92,12 @@ def _parse_snapshots(raw, key):
     if not raw.strip():
         return ()
     try:
-        return tuple(float(tok) for tok in raw.split(","))
+        times = tuple(float(tok) for tok in raw.split(","))
     except ValueError:
         raise ConfigError(f"{key}: expected comma-separated times", key=key) from None
+    if not all(math.isfinite(t) for t in times):
+        raise ConfigError(f"{key}: times must be finite, got {raw!r}", key=key)
+    return times
 
 
 _PARSERS: dict[str, Callable] = {
@@ -183,6 +187,11 @@ def materialize(cfg: RunConfig) -> PreparedRun:
             key="scenario",
         )
     defaults = scenarios.scenario_defaults(name)
+    if cfg.series_cadence is not None and cfg.series_cadence < 1:
+        raise ConfigError(
+            f"series_cadence must be a positive integer, got {cfg.series_cadence}",
+            key="series_cadence",
+        )
 
     if name == "manufactured":
         for key in ("H", "psi0", "mesh_file"):

@@ -33,8 +33,6 @@ __all__ = [
     "ErrorReport",
     "error_norms",
     "convergence_rates",
-    "ContractionReport",
-    "contraction_check",
 ]
 
 
@@ -63,7 +61,7 @@ def discrete_energy(mesh: Mesh, Lhat, A, psi, H, t: float) -> EnergyBreakdown:
 
     _, wdx = fem.quadrature_info(mesh)
     curls = fem.curl_values(mesh, A)
-    dev = curls[:, None] - fem._scalar_at_quad(fem._ops(mesh), H, t)
+    dev = curls[:, None] - fem.scalar_at_quad(mesh, H, t)
     magnetic = 0.5 * float(np.sum(wdx * dev * dev))
 
     d = fem.lumped_mass(mesh)
@@ -170,58 +168,3 @@ def convergence_rates(hs, errors) -> list[float]:
         else:
             rates.append(math.log2(errors[k] / errors[k + 1]))
     return rates
-
-
-# ---------------------------------------------------------------------------
-# structural checks on the stabilized operator
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    """Random-vector audit of the stabilized operator ``L = D^{-1} Lhat - mu I``.
-
-    ``contraction_violations`` counts vectors whose largest-modulus entry
-    fails ``Re(conj(U_i) (L U)_i) < 0``; ``negativedef_violations`` counts
-    vectors with ``Re(U^H Lhat U) > slack``. Both must be zero for the
-    modulus bound machinery to apply.
-    """
-
-    trials: int
-    contraction_violations: int
-    negativedef_violations: int
-    worst_contraction: float
-    worst_quadform: float
-
-
-def contraction_check(
-    Lhat, d, mu, *, trials: int = 1000, seed: int = 0, slack: float = 1e-10
-) -> ContractionReport:
-    d = np.asarray(d, dtype=float)
-    n = len(d)
-    rng = np.random.default_rng(seed)
-
-    contraction_bad = 0
-    negdef_bad = 0
-    worst_c = -math.inf
-    worst_q = -math.inf
-    for _ in range(trials):
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        i = int(np.argmax(np.abs(u)))
-        Lu = Lhat @ u
-        c = float((np.conj(u[i]) * (Lu[i] / d[i] - mu * u[i])).real)
-        worst_c = max(worst_c, c)
-        if not c < 0.0:
-            contraction_bad += 1
-
-        quad = float(np.vdot(u, Lu).real)
-        scale = max(1.0, float(np.vdot(u, d * u).real))
-        worst_q = max(worst_q, quad / scale)
-        if quad > slack * scale:
-            negdef_bad += 1
-    return ContractionReport(
-        trials=trials,
-        contraction_violations=contraction_bad,
-        negativedef_violations=negdef_bad,
-        worst_contraction=worst_c,
-        worst_quadform=worst_q,
-    )

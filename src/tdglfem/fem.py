@@ -44,27 +44,24 @@ import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 
 from .mesh import Mesh
-from .quadrature import DEGREE4, physical_points
+from .quadrature import POINTS, WEIGHTS
 
 __all__ = [
     "CsrPattern",
     "lumped_mass",
-    "stiffness_matrix",
-    "edge_mass_matrix",
-    "curl_curl_matrix",
     "assemble_Lhat",
     "assemble_A_system",
     "assemble_A_rhs",
     "ritz_projection",
     "A_system_preconditioner",
     "interpolate_nodal",
-    "interpolate_edge",
     "curl_values",
     "corner_values",
     "edge_max_norm",
     "evaluate_edge",
     "evaluate_nodal",
     "quadrature_info",
+    "scalar_at_quad",
     "num_edge_dofs",
 ]
 
@@ -132,11 +129,10 @@ class _MeshOps:
         c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]
         self.grads = np.stack([b, c], axis=2) / (2.0 * self.area)[:, None, None]
 
-        rule = DEGREE4
-        self.lam = rule.points  # (nq, 3)
+        self.lam = POINTS  # (nq, 3)
         self._lam_pairs = np.einsum("qv,qw->qvw", self.lam, self.lam).reshape(-1, 9)
-        self.qpts = physical_points(rule, p)  # (nc, nq, 2)
-        self.wdx = self.area[:, None] * rule.weights[None, :]  # (nc, nq)
+        self.qpts = np.einsum("qv,...vx->...qx", POINTS, p)  # (nc, nq, 2)
+        self.wdx = self.area[:, None] * WEIGHTS[None, :]  # (nc, nq)
 
         # nodal space ----------------------------------------------------
         nv = mesh.num_vertices
@@ -149,7 +145,6 @@ class _MeshOps:
         self._stiff_local = self.area[:, None, None] * np.einsum(
             "cvx,cwx->cvw", self.grads, self.grads
         )
-        self._stiff_data = self.nodal_pattern.sum_duplicates(self._stiff_local)
 
         # edge space -------------------------------------------------------
         eid = mesh.cell_edges  # (nc, 3)
@@ -461,22 +456,6 @@ def lumped_mass(mesh: Mesh) -> np.ndarray:
     return _ops(mesh).d.copy()
 
 
-def stiffness_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """P1 stiffness ``integral(grad phi_i . grad phi_j)``."""
-    ops = _ops(mesh)
-    return ops.nodal_pattern.csr_from_data(ops._stiff_data.copy())
-
-
-def edge_mass_matrix(mesh: Mesh) -> sp.csr_matrix:
-    ops = _ops(mesh)
-    return ops.edge_pattern.csr_from_data(ops._edge_mass_data.copy())
-
-
-def curl_curl_matrix(mesh: Mesh) -> sp.csr_matrix:
-    ops = _ops(mesh)
-    return ops.edge_pattern.csr_from_data(ops._curl_data.copy())
-
-
 def assemble_Lhat(mesh: Mesh, A, kappa: float) -> sp.csr_matrix:
     """Hermitian nodal operator of the covariant form, frozen at field ``A``.
 
@@ -525,8 +504,9 @@ def assemble_A_system(mesh: Mesh, psi, sigma: float, tau: float) -> sp.csr_matri
     return ops.edge_pattern.csr_from_data(data)
 
 
-def _scalar_at_quad(ops: _MeshOps, value, *args) -> np.ndarray:
-    """Constant or callable ``f(x, y, *args)`` evaluated at the quadrature points."""
+def scalar_at_quad(mesh: Mesh, value, *args) -> np.ndarray:
+    """Constant or callable ``f(x, y, *args)`` at the quadrature points, (nc, nq)."""
+    ops = _ops(mesh)
     if callable(value):
         out = value(ops.qpts[:, :, 0], ops.qpts[:, :, 1], *args)
         return np.broadcast_to(np.asarray(out, dtype=float), ops.wdx.shape)
@@ -565,14 +545,14 @@ def assemble_A_rhs(
     ops = _ops(mesh)
     A_prev = np.asarray(A_prev, dtype=float)
     rhs = (sigma / tau) * (ops.edge_pattern.csr_from_data(ops._edge_mass_data) @ A_prev)
-    rhs = rhs + ops.curl_load(_scalar_at_quad(ops, H, t))
+    rhs = rhs + ops.curl_load(scalar_at_quad(mesh, H, t))
     rhs = rhs - ops.edge_load(ops.supercurrent_at_quad(np.asarray(psi, dtype=complex), kappa))
     if forcing is not None:
         rhs = rhs + ops.edge_load(_vector_at_quad(ops, forcing, t))
     return rhs
 
 
-def ritz_projection(mesh: Mesh, A_func, curl_func, *, tol: float = 1e-12) -> np.ndarray:
+def ritz_projection(mesh: Mesh, A_func, curl_func) -> np.ndarray:
     """Edge-space field closest to ``A_func`` in the curl-plus-mass energy.
 
     Solves ``(curl u, curl B) + (u, B) = (curl_func, curl B) + (A_func, B)``
@@ -582,9 +562,9 @@ def ritz_projection(mesh: Mesh, A_func, curl_func, *, tol: float = 1e-12) -> np.
 
     ops = _ops(mesh)
     rhs = ops.edge_load(_vector_at_quad(ops, A_func))
-    rhs = rhs + ops.curl_load(_scalar_at_quad(ops, curl_func))
+    rhs = rhs + ops.curl_load(scalar_at_quad(mesh, curl_func))
     system = ops.edge_pattern.csr_from_data(ops._curl_data + ops._edge_mass_data)
-    return cg_solve(system, rhs, tol=tol, precond=ops.curl_preconditioner(1.0, 1.0)).x
+    return cg_solve(system, rhs, precond=ops.curl_preconditioner(1.0, 1.0)).x
 
 
 def A_system_preconditioner(mesh: Mesh, sigma: float, tau: float):
@@ -606,21 +586,6 @@ def interpolate_nodal(mesh: Mesh, f) -> np.ndarray:
     """Nodal interpolant: ``f(x, y)`` evaluated at the vertices."""
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
     return np.asarray(f(x, y), dtype=complex) + np.zeros(len(x), dtype=complex)
-
-
-def interpolate_edge(mesh: Mesh, A_func) -> np.ndarray:
-    """Edge interpolant: tangential components of ``A_func`` at edge endpoints.
-
-    Exact for fields that are globally linear.
-    """
-    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
-    ax, ay = A_func(x, y)
-    vert_vals = np.column_stack([np.broadcast_to(ax, x.shape), np.broadcast_to(ay, y.shape)])
-    t = mesh.edge_tangents
-    u = np.empty(2 * mesh.num_edges)
-    u[0::2] = np.einsum("ex,ex->e", vert_vals[mesh.edges[:, 0]], t)
-    u[1::2] = np.einsum("ex,ex->e", vert_vals[mesh.edges[:, 1]], t)
-    return u
 
 
 def curl_values(mesh: Mesh, A) -> np.ndarray:

@@ -3,10 +3,10 @@
 The vector-potential step needs one SPD solve per step; a hand-rolled
 preconditioned conjugate gradient keeps the stopping rule explicit
 (relative residual, and a zero right-hand side returns zero in zero
-iterations). The preconditioner is the caller's: Jacobi by default, or the
-one ``fem.A_system_preconditioner`` builds, the curl-exact ``P_c = c diag(M)
-+ K``. Since ``|psi| <= 1`` bounds the ``|psi|^2``-weighted mass by the
-mass matrix, ``P_c`` bounds the condition number by ``15.4 (1 + tau/sigma)``
+iterations). The preconditioner is the caller's: the one
+``fem.A_system_preconditioner`` builds, the curl-exact ``P_c = c diag(M) +
+K``. Since ``|psi| <= 1`` bounds the ``|psi|^2``-weighted mass by the mass
+matrix, ``P_c`` bounds the condition number by ``15.4 (1 + tau/sigma)``
 on the built-in meshes, whatever ``h``: about 50 iterations to ``1e-12``.
 A fixed cost rule takes vertex-block Jacobi instead (the blocks of ``c M +
 K`` over the dofs at each vertex) where its cheaper iterations win: when
@@ -35,10 +35,6 @@ Sign convention: ``phi1(a) = (1 - exp(a)) / a`` with ``phi1(0) = -1``, so
 ``exp(a) = 1 - a phi1(a)`` and the exponential Euler update
 ``psi_new = exp(tau L) psi - tau phi1(tau L) F`` reads
 ``psi_new = psi - tau phi1(tau L) (L psi + F)``.
-
-``dense_phi_oracle`` is an independent small-size reference path (full
-eigendecomposition, different phi1 evaluation) used to cross-check the
-Krylov code; the two routes share no nontrivial helpers by design.
 """
 
 from __future__ import annotations
@@ -57,7 +53,6 @@ __all__ = [
     "KRYLOV_MAX_DIM",
     "phi1",
     "phi_apply",
-    "dense_phi_oracle",
 ]
 
 
@@ -78,14 +73,13 @@ class CgResult:
 
 
 def cg_solve(
-    matrix, rhs, *, tol: float = 1e-12, max_iter: int | None = None, x0=None, precond=None
+    matrix, rhs, *, precond, tol: float = 1e-12, max_iter: int | None = None, x0=None
 ) -> CgResult:
     """Preconditioned conjugate gradient for SPD systems.
 
-    ``precond(r)`` applies an SPD approximation of ``matrix^{-1}``; without
-    one the iteration is Jacobi-preconditioned. Stops when ``||rhs - matrix
-    @ x|| <= tol * ||rhs||``. A zero ``rhs`` returns the zero vector
-    immediately. Raises :class:`ConvergenceError` after ``max_iter``
+    ``precond(r)`` applies an SPD approximation of ``matrix^{-1}``. Stops
+    when ``||rhs - matrix @ x|| <= tol * ||rhs||``. A zero ``rhs`` returns
+    the zero vector immediately. Raises :class:`ConvergenceError` after ``max_iter``
     iterations (default ``10 * n``), or as soon as the residual is not
     finite.
     """
@@ -97,14 +91,8 @@ def cg_solve(
     if bnorm == 0.0:
         return CgResult(np.zeros(n), 0, 0.0)
 
-    diag = matrix.diagonal() if hasattr(matrix, "diagonal") else np.diagonal(matrix)
-    if np.any(diag <= 0):
+    if np.any(matrix.diagonal() <= 0):
         raise ValueError("matrix has a nonpositive diagonal entry; not SPD")
-    if precond is None:
-        inv_diag = 1.0 / diag
-
-        def precond(r):
-            return inv_diag * r
 
     def fail(message, iterations, resid):
         return ConvergenceError(
@@ -296,42 +284,3 @@ def phi_apply(Lhat, d, mu, tau, v) -> np.ndarray:
             residual=float(est),
         )
     return ((beta0 * y) @ V[:used]) / dh
-
-
-# ---------------------------------------------------------------------------
-# dense reference path
-
-
-def _oracle_phi1(a):
-    # deliberately a different evaluation than phi1(): expm1 is accurate
-    # uniformly, no series branch
-    a = np.asarray(a, dtype=float)
-    out = np.full_like(a, -1.0)
-    nz = a != 0
-    out[nz] = -np.expm1(a[nz]) / a[nz]
-    return out
-
-
-DENSE_ORACLE_MAX_SIZE = 500
-
-
-def dense_phi_oracle(Lhat, d, mu, tau, v, which="phi0") -> np.ndarray:
-    """Reference ``phi(tau (D^{-1} Lhat - mu I)) v`` by full eigendecomposition.
-
-    Capped at 500 unknowns; this is a verification oracle, not a solver.
-    """
-    if which not in ("phi0", "phi1"):
-        raise ValueError(f"unknown phi selector {which!r}")
-    v = np.asarray(v, dtype=complex)
-    n = len(v)
-    if n > DENSE_ORACLE_MAX_SIZE:
-        raise ValueError(f"oracle limited to {DENSE_ORACLE_MAX_SIZE} unknowns, got {n}")
-    dense = Lhat.toarray() if hasattr(Lhat, "toarray") else np.asarray(Lhat, dtype=complex)
-    d = np.asarray(d, dtype=float)
-    dh = np.sqrt(d)
-    S = dense / dh[:, None] / dh[None, :] - mu * np.eye(n)
-    S = 0.5 * (S + S.conj().T)
-    lam, U = np.linalg.eigh(S)
-    f = np.exp(tau * lam) if which == "phi0" else _oracle_phi1(tau * lam)
-    w = U.conj().T @ (dh * v)
-    return (U @ (f * w)) / dh

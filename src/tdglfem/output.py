@@ -60,9 +60,15 @@ def format_timeseries_csv(rows, cadence: int = 1) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_timeseries_csv(path, rows, cadence: int = 1) -> None:
+def _write(path, text: str) -> None:
+    # the writers format in full first, so a formatting error leaves any
+    # existing file untouched
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_timeseries_csv(rows, cadence))
+        fh.write(text)
+
+
+def write_timeseries_csv(path, rows, cadence: int = 1) -> None:
+    _write(path, format_timeseries_csv(rows, cadence))
 
 
 def _e(v: float) -> str:
@@ -114,8 +120,7 @@ def format_vtk_snapshot(mesh: Mesh, A, psi, t: float) -> str:
 
 
 def write_vtk_snapshot(path, mesh: Mesh, A, psi, t: float) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_vtk_snapshot(mesh, A, psi, t))
+    _write(path, format_vtk_snapshot(mesh, A, psi, t))
 
 
 CONVERGENCE_HEADER = (
@@ -147,8 +152,7 @@ def format_convergence_csv(reports, rates: dict) -> str:
 
 
 def write_convergence_csv(path, reports, rates: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_convergence_csv(reports, rates))
+    _write(path, format_convergence_csv(reports, rates))
 
 
 def ensure_dir(path) -> str:

@@ -13,7 +13,6 @@ import warnings
 import numpy as np
 import pytest
 
-from tdglfem.diagnostics import contraction_check
 from tdglfem.fem import (
     assemble_Lhat,
     evaluate_edge,
@@ -21,10 +20,12 @@ from tdglfem.fem import (
     quadrature_info,
     ritz_projection,
 )
-from tdglfem.linalg import dense_phi_oracle, phi_apply
+from tdglfem.linalg import phi_apply
 from tdglfem.output import format_timeseries_csv
 from tdglfem.scenarios import holed_square_mesh, lshape_mesh, run_manufactured_convergence, unit_square_mesh
 from tdglfem.stepper import AdaptiveTau, SchemeParams, SimulationState, _mu_for, run, step_psi
+
+from oracles import contraction_check, dense_phi_oracle
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tdglfem.linalg
+import tdglfem.scenarios
 import tdglfem.stepper
 from tdglfem.cli import _apply_thread_limit, main
 from tdglfem.mesh import Mesh, format_native
@@ -118,6 +119,18 @@ def test_run_reports_nonfinite_state(tmp_path, capsys, monkeypatch):
                                  f"energy_check = off\nmbp_check = off\nout = {tmp_path / 'r'}\n")
     assert main(["run", "--config", cfg]) == 3
     assert "solver error: psi is not finite at t=0.25" in capsys.readouterr().err
+
+
+def test_run_rejects_bad_series_cadence_before_meshing(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(tdglfem.scenarios, "lshape_mesh", never)
+    cfg = write_config(tmp_path, f"scenario = lshape\nM = 4\nT = 0.1\ntau = 0.05\n"
+                                 f"series_cadence = 0\nout = {tmp_path / 'r'}\n")
+    assert main(["run", "--config", cfg]) == 2
+    assert "series_cadence must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_run_rejects_step_below_time_resolution(tmp_path, capsys, monkeypatch):

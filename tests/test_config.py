@@ -66,6 +66,8 @@ def test_parse_empty_gives_defaults():
         ("strict_acute = maybe", "strict_acute"),
         ("psi0 = vortex", "psi0"),
         ("snapshots = 1, two", "snapshots"),
+        ("snapshots = nan, 5", "snapshots"),
+        ("snapshots = 1, inf", "snapshots"),
         ("series_cadence = often", "series_cadence"),
     ],
 )

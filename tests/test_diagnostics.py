@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from tdglfem.diagnostics import (
-    ContractionReport,
     EnergyBreakdown,
-    contraction_check,
     convergence_rates,
     discrete_energy,
     error_norms,
     mbp_stats,
 )
-from tdglfem.fem import assemble_Lhat, interpolate_edge, interpolate_nodal, lumped_mass, num_edge_dofs, stiffness_matrix
-from tdglfem.mesh import generate_uniform_square
+from tdglfem.fem import assemble_Lhat, interpolate_nodal, lumped_mass, num_edge_dofs
 from tdglfem.scenarios import ExactSolution
+
+from oracles import ContractionReport, contraction_check, interpolate_edge
 
 
 def test_energy_reference_split(square2):
@@ -116,7 +115,7 @@ def test_convergence_rates_zero_error_nan():
     assert math.isnan(rates[0])
 
 
-# -- structure checks ----------------------------------------------------------
+# -- the operator-structure audit of the tests ----------------------------------
 
 
 def test_contraction_check_clean(square4):
@@ -140,8 +139,9 @@ def test_contraction_check_deterministic(square2):
 
 
 def test_contraction_check_flags_bad_operator(square2):
-    # +stiffness is positive semidefinite: the quadratic form check must fire
-    K = stiffness_matrix(square2).astype(complex).tocsr()
+    # -Lhat(A = 0) is the stiffness, positive semidefinite: the quadratic
+    # form check must fire
+    K = -assemble_Lhat(square2, np.zeros(num_edge_dofs(square2)), 1.0)
     d = lumped_mass(square2)
     rep = contraction_check(K, d, 0.0, trials=50, seed=3)
     assert rep.negativedef_violations > 0

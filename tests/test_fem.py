@@ -12,22 +12,36 @@ from tdglfem.fem import (
     assemble_A_system,
     assemble_Lhat,
     corner_values,
-    curl_curl_matrix,
     curl_values,
-    edge_mass_matrix,
     edge_max_norm,
     evaluate_edge,
     evaluate_nodal,
-    interpolate_edge,
     interpolate_nodal,
     lumped_mass,
     num_edge_dofs,
     quadrature_info,
     ritz_projection,
-    stiffness_matrix,
 )
 from tdglfem.mesh import generate_uniform_square
 from tdglfem.scenarios import holed_square_mesh, lshape_mesh, unit_square_mesh
+
+from oracles import interpolate_edge
+
+
+def stiffness(mesh):
+    """P1 stiffness ``integral(grad phi_i . grad phi_j)``, from the assembly data."""
+    ops = fem._ops(mesh)
+    return ops.nodal_pattern.assemble(ops._stiff_local)
+
+
+def edge_mass(mesh):
+    ops = fem._ops(mesh)
+    return ops.edge_pattern.csr_from_data(ops._edge_mass_data.copy())
+
+
+def curl_curl(mesh):
+    ops = fem._ops(mesh)
+    return ops.edge_pattern.csr_from_data(ops._curl_data.copy())
 
 
 def consistent_mass_dense(mesh):
@@ -66,7 +80,7 @@ def test_lumped_interior_vertex():
 
 
 def test_stiffness_unit_triangle(unit_tri):
-    K = stiffness_matrix(unit_tri).toarray()
+    K = stiffness(unit_tri).toarray()
     np.testing.assert_allclose(np.diag(K), [1.0, 0.5, 0.5], atol=1e-14)
     np.testing.assert_allclose(K, K.T, atol=1e-15)
     np.testing.assert_allclose(K.sum(axis=1), 0.0, atol=1e-14)
@@ -74,7 +88,7 @@ def test_stiffness_unit_triangle(unit_tri):
 
 def test_stiffness_offdiagonal_nonpositive(square4):
     # weakly acute mesh: off-diagonal entries cannot be positive
-    K = stiffness_matrix(square4).toarray()
+    K = stiffness(square4).toarray()
     off = K - np.diag(np.diag(K))
     assert off.max() <= 1e-14
     vals = np.linalg.eigvalsh(K)
@@ -83,7 +97,7 @@ def test_stiffness_offdiagonal_nonpositive(square4):
 
 
 def test_stiffness_kills_constants(square2):
-    K = stiffness_matrix(square2)
+    K = stiffness(square2)
     np.testing.assert_allclose(K @ np.ones(square2.num_vertices), 0.0, atol=1e-13)
 
 
@@ -184,7 +198,7 @@ def test_edge_max_norm_constant(square2):
 
 
 def test_edge_mass_spd(square2):
-    M = edge_mass_matrix(square2).toarray()
+    M = edge_mass(square2).toarray()
     np.testing.assert_allclose(M, M.T, atol=1e-14)
     np.linalg.cholesky(M)  # raises if not PD
 
@@ -192,7 +206,7 @@ def test_edge_mass_spd(square2):
 def test_edge_mass_integrates(square2):
     # A . A integrated through the mass matrix matches a direct quadrature
     A = interpolate_edge(square2, lambda x, y: (x - 2 * y, y + 1))
-    M = edge_mass_matrix(square2)
+    M = edge_mass(square2)
     A_q, _ = evaluate_edge(square2, A)
     _, wdx = quadrature_info(square2)
     direct = np.sum(wdx * (A_q**2).sum(axis=-1))
@@ -200,7 +214,7 @@ def test_edge_mass_integrates(square2):
 
 
 def test_curl_curl_matrix(square2):
-    K = curl_curl_matrix(square2)
+    K = curl_curl(square2)
     A = interpolate_edge(square2, lambda x, y: (-y, x))  # curl 2
     # int |curl|^2 = 4 * |Omega|
     assert A @ (K @ A) == pytest.approx(4.0, rel=1e-13)
@@ -224,13 +238,13 @@ def test_ritz_reproduces_members(square2):
 def test_Lhat_zero_field_is_minus_stiffness(unit_tri):
     L = assemble_Lhat(unit_tri, np.zeros(num_edge_dofs(unit_tri)), 1.0).toarray()
     np.testing.assert_allclose(np.diag(L), [-1.0, -0.5, -0.5], atol=1e-14)
-    K = stiffness_matrix(unit_tri).toarray()
+    K = stiffness(unit_tri).toarray()
     np.testing.assert_allclose(L, -K.astype(complex), atol=1e-14)
 
 
 def test_Lhat_kappa_scaling(unit_tri):
     L = assemble_Lhat(unit_tri, np.zeros(num_edge_dofs(unit_tri)), 2.0).toarray()
-    K = stiffness_matrix(unit_tri).toarray()
+    K = stiffness(unit_tri).toarray()
     np.testing.assert_allclose(L, -K.astype(complex) / 4.0, atol=1e-14)
 
 
@@ -290,8 +304,8 @@ def test_A_system_matches_quadrature(mesh, rng):
     psi = rng.uniform(0, 1, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
     psi_q, _ = evaluate_nodal(mesh, psi)
     M = quadrature_edge_mass(mesh, 1.0)
-    assert relative_gap(edge_mass_matrix(mesh), M) <= 1e-13
-    ref = (1.3 / 0.07) * M + curl_curl_matrix(mesh) + quadrature_edge_mass(mesh, np.abs(psi_q) ** 2)
+    assert relative_gap(edge_mass(mesh), M) <= 1e-13
+    ref = (1.3 / 0.07) * M + curl_curl(mesh) + quadrature_edge_mass(mesh, np.abs(psi_q) ** 2)
     assert relative_gap(assemble_A_system(mesh, psi, sigma=1.3, tau=0.07), ref) <= 1e-13
 
 
@@ -335,8 +349,8 @@ def test_A_system_decomposition(square2):
     sigma, tau = 1.3, 0.07
     psi = np.ones(square2.num_vertices, dtype=complex)
     S = assemble_A_system(square2, psi, sigma=sigma, tau=tau).toarray()
-    M = edge_mass_matrix(square2).toarray()
-    K = curl_curl_matrix(square2).toarray()
+    M = edge_mass(square2).toarray()
+    K = curl_curl(square2).toarray()
     np.testing.assert_allclose(S, (sigma / tau) * M + K + M, atol=1e-11)
 
 
@@ -393,7 +407,7 @@ def test_A_rhs_previous_state_term(square2, rng):
         tau=tau,
         t=0.0,
     )
-    M = edge_mass_matrix(square2)
+    M = edge_mass(square2)
     np.testing.assert_allclose(rhs, (sigma / tau) * (M @ A_prev), atol=1e-12)
 
 
@@ -421,7 +435,7 @@ def test_A_rhs_forcing_term(square2):
         t=0.0,
         forcing=lambda x, y, t: (np.ones_like(x), np.zeros_like(y)),
     )
-    M = edge_mass_matrix(square2)
+    M = edge_mass(square2)
     unit = interpolate_edge(square2, lambda x, y: (0 * x + 1.0, 0 * y))
     np.testing.assert_allclose(forced - base, M @ unit, atol=1e-12)
 
@@ -432,8 +446,8 @@ def test_A_rhs_forcing_term(square2):
 @pytest.mark.parametrize("c", [1.0, 50.5])
 def test_curl_preconditioner_inverts_P(square4, rng, c):
     # P_c = c diag(M) + K, applied through the cell-space Woodbury solve
-    M = edge_mass_matrix(square4).toarray()
-    P = c * np.diag(np.diag(M)) + curl_curl_matrix(square4).toarray()
+    M = edge_mass(square4).toarray()
+    P = c * np.diag(np.diag(M)) + curl_curl(square4).toarray()
     apply = fem._ops(square4).cell_space_preconditioner(c)
     x = rng.standard_normal(len(M))
     np.testing.assert_allclose(apply(P @ x), x, rtol=1e-10, atol=1e-10)
@@ -461,7 +475,7 @@ def test_curl_preconditioner_refactors_on_new_c(square4, rng):
 
 def vertex_block_part(mesh, c):
     """Entries of ``c M + K`` between dofs sitting at one vertex, dense."""
-    P = (c * edge_mass_matrix(mesh) + curl_curl_matrix(mesh)).toarray()
+    P = (c * edge_mass(mesh) + curl_curl(mesh)).toarray()
     at = mesh.edges.ravel()
     return np.where(at[:, None] == at[None, :], P, 0.0)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tdglfem.diagnostics import ErrorReport
-from tdglfem.fem import interpolate_edge, interpolate_nodal
+from tdglfem.fem import interpolate_nodal
 from tdglfem.output import (
     CONVERGENCE_HEADER,
     CSV_HEADER,
@@ -14,6 +14,8 @@ from tdglfem.output import (
     write_vtk_snapshot,
 )
 from tdglfem.stepper import TimeSeriesRow
+
+from oracles import interpolate_edge
 
 
 def make_rows(n):
@@ -78,6 +80,10 @@ def test_timeseries_rejects_bad_input():
 def test_write_timeseries(tmp_path):
     path = tmp_path / "series.csv"
     write_timeseries_csv(path, make_rows(3))
+    assert path.read_text() == format_timeseries_csv(make_rows(3))
+    # a formatting error leaves the file as it was
+    with pytest.raises(ValueError, match="cadence"):
+        write_timeseries_csv(path, make_rows(3), cadence=0)
     assert path.read_text() == format_timeseries_csv(make_rows(3))
 
 

@@ -6,8 +6,7 @@ import pytest
 
 import tdglfem.stepper as stepper
 from tdglfem.diagnostics import EnergyBreakdown
-from tdglfem.fem import assemble_Lhat, interpolate_edge, lumped_mass, num_edge_dofs
-from tdglfem.linalg import dense_phi_oracle
+from tdglfem.fem import assemble_Lhat, lumped_mass, num_edge_dofs
 from tdglfem.mesh import Mesh, generate_uniform_square
 from tdglfem.scenarios import lshape_mesh, manufactured_params, unit_square_mesh
 from tdglfem.stepper import (
@@ -22,6 +21,8 @@ from tdglfem.stepper import (
     step_A,
     step_psi,
 )
+
+from oracles import dense_phi_oracle, interpolate_edge
 
 
 def quiet_params(**kw):
