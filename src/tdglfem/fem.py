@@ -14,12 +14,20 @@ Inside a cell an edge-space field is reconstructed from its six dofs by
 solving, at each corner, the 2x2 system formed by the two incident edge
 tangents; the curl is constant per cell.
 
-Assembly is vectorized over cells. Per-mesh geometry, evaluation tensors and
-sparsity patterns are computed once and cached (keyed on mesh identity), so
-the per-time-step cost is a handful of einsums plus a bincount scatter.
-
-A field is linear in its corner vectors, so the weighted edge masses are
-``cmap^T (W kron I_2) cmap`` from each cell's 3x3 nodal weights ``W``.
+Assembly is vectorized over cells, with the cell index last in every
+per-cell array. The quadrature is exact for every form, so each local
+matrix is a fixed linear map of a few products of a cell's corner values
+(the tensor representation of Kirby & Logg, ACM TOMS 2006), and a time
+level assembles each form in four fixed operations: one sparse
+dof-to-corner product; per-cell products of corner values (``a_k . a_l``
+for the field, ``Re(psi_k conj(psi_l))``, ``Im(conj(psi_k) grad psi)``);
+one GEMM against a reference tensor of the unit cell, ``M2 =
+integral(lam_k lam_l)`` or ``T4 = integral(lam_k lam_l lam_v lam_w)``; and
+one fixed sparse scatter into the CSR data. Each edge dof sits at one
+corner, so a weighted edge mass has the entries ``W[v(i), v(j)] (t_i .
+t_j)``, with ``W`` the cell's 3x3 nodal weights and ``t`` the dual basis of
+the edge tangents at the corner. The maps, scatters and sparsity patterns
+are built once per mesh and cached (keyed on mesh identity).
 
 The edge-space solves (the vector-potential step and the Ritz projection)
 are preconditioned with ``P_c = c diag(M) + K``. The curl-curl matrix
@@ -67,11 +75,12 @@ __all__ = [
 
 
 class CsrPattern:
-    """Frozen CSR sparsity with a fast scatter from per-cell entry arrays.
+    """Frozen CSR sparsity of per-cell entry arrays.
 
-    The entry order handed to ``__init__`` is remembered; ``sum_duplicates``
-    reduces values with equal (row, col) into canonical sorted CSR storage
-    through ``np.bincount``, which is deterministic.
+    ``_inv`` maps each entry, in the order handed to ``__init__``, to its
+    slot in the canonical sorted CSR storage; ``sum_duplicates`` reduces
+    values with equal (row, col) through ``np.bincount``, which is
+    deterministic.
     """
 
     def __init__(self, rows, cols, n):
@@ -89,23 +98,31 @@ class CsrPattern:
         self.indptr = indptr
 
     def sum_duplicates(self, values) -> np.ndarray:
-        values = np.asarray(values).ravel()
-        if np.iscomplexobj(values):
-            re = np.bincount(self._inv, weights=values.real, minlength=self.nnz)
-            im = np.bincount(self._inv, weights=values.imag, minlength=self.nnz)
-            return re + 1j * im
-        return np.bincount(self._inv, weights=values, minlength=self.nnz)
-
-    def assemble(self, values) -> sp.csr_matrix:
-        return self.csr_from_data(self.sum_duplicates(values))
+        return np.bincount(self._inv, weights=np.ravel(values), minlength=self.nnz)
 
     def csr_from_data(self, data) -> sp.csr_matrix:
         """Wrap already-reduced data (length ``nnz``) without copying."""
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
+#: reference tensors of a unit-area cell, from the one quadrature rule:
+#: ``_M2[k, l] = integral(lam_k lam_l)`` and ``_T4[kl, vw] = integral(lam_k lam_l lam_v lam_w)``
+_M2 = np.einsum("q,qk,ql->kl", WEIGHTS, POINTS, POINTS)
+_T4 = np.einsum("q,qk,ql,qv,qw->klvw", WEIGHTS, POINTS, POINTS, POINTS, POINTS).reshape(9, 9)
+
+
+def _gram(x, y) -> np.ndarray:
+    """Products ``x_k x_l + y_k y_l`` of two (3, nc) rows of corner values, as (9, nc)."""
+    return (x[:, None] * x[None, :] + y[:, None] * y[None, :]).reshape(9, -1)
+
+
 class _MeshOps:
-    """Per-mesh precomputed geometry, quadrature and assembly tensors."""
+    """Per-mesh precomputed geometry, dof-to-corner map and CSR scatters.
+
+    Per-cell arrays keep the cell index last, so that the per-step products
+    run over long contiguous rows: corner values are (component, corner,
+    cell), and the scatters read per-cell 3x3 entries as (row, column, cell).
+    """
 
     #: local edges meeting at each local vertex
     _INCIDENT = ((0, 2), (0, 1), (1, 2))
@@ -118,20 +135,19 @@ class _MeshOps:
 
     def __init__(self, mesh: Mesh):
         # arrays only: a reference to the mesh would keep it alive as a cache key
-        self.cells = cells = mesh.cells
+        cells = mesh.cells
+        self.corner_vertices = np.ascontiguousarray(cells.T)  # (3, nc)
         self.cell_edges = mesh.cell_edges
         nc = mesh.num_cells
         p = mesh.vertices[cells]  # (nc, 3, 2)
         self.area = np.asarray(mesh.cell_areas)
 
-        # gradients of the barycentric basis, (nc, 3, 2)
+        # gradients of the barycentric basis, (2, 3, nc)
         b = p[:, [1, 2, 0], 1] - p[:, [2, 0, 1], 1]
         c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]
-        self.grads = np.stack([b, c], axis=2) / (2.0 * self.area)[:, None, None]
+        self.grads = np.stack([b.T, c.T]) / (2.0 * self.area)
 
-        self.lam = POINTS  # (nq, 3)
-        self._lam_pairs = np.einsum("qv,qw->qvw", self.lam, self.lam).reshape(-1, 9)
-        self.qpts = np.einsum("qv,...vx->...qx", POINTS, p)  # (nc, nq, 2)
+        self.qpts = np.tensordot(p, POINTS, axes=(1, 1)).transpose(0, 2, 1)  # (nc, nq, 2)
         self.wdx = self.area[:, None] * WEIGHTS[None, :]  # (nc, nq)
 
         # nodal space ----------------------------------------------------
@@ -142,51 +158,75 @@ class _MeshOps:
         rows3 = np.broadcast_to(cells[:, :, None], (nc, 3, 3))
         cols3 = np.broadcast_to(cells[:, None, :], (nc, 3, 3))
         self.nodal_pattern = CsrPattern(rows3, cols3, nv)
-        self._stiff_local = self.area[:, None, None] * np.einsum(
-            "cvx,cwx->cvw", self.grads, self.grads
+        # per-cell 3x3 entries per unit area, (3, 3, nc), -> CSR data
+        slots = self.nodal_pattern._inv.reshape(nc, 9).T.ravel()
+        self._nodal_scatter = sp.csc_matrix(
+            (np.tile(self.area, 9), slots, np.arange(9 * nc + 1)), shape=(self.nodal_pattern.nnz, 9 * nc)
         )
+        self._stiff_data = self._nodal_scatter @ _gram(*self.grads).ravel()
 
         # edge space -------------------------------------------------------
         eid = mesh.cell_edges  # (nc, 3)
         tang = mesh.edge_tangents[eid]  # (nc, 3, 2)
-        lo_vertex = mesh.edges[eid, 0]  # (nc, 3)
+        lo_vertex = mesh.edges[eid, 0].T  # (3, nc)
 
         dofs = np.empty((nc, 6), dtype=np.int64)
         dofs[:, 0::2] = 2 * eid
         dofs[:, 1::2] = 2 * eid + 1
         self.cell_dofs = dofs
 
-        # dof -> corner vectors map, (nc, 6, 6): corners = cmap @ u_local
-        cmap = np.zeros((nc, 6, 6))
-        idx = np.arange(nc)
+        # each local dof sits at one corner: ``at[v]`` holds the two local dofs at
+        # corner v, (3, 2, nc), and the field's vector there is
+        # sum_s u[at[v, s]] dual[:, v, s], with ``dual`` (2, 3, 2, nc) the dual
+        # basis of the two edge tangents meeting at v
+        tx, ty = tang.T  # (3, nc) each
+        at = np.empty((3, 2, nc), dtype=np.int64)
+        dual = np.empty((2, 3, 2, nc))
         for v, (j1, j2) in enumerate(self._INCIDENT):
-            t1, t2 = tang[:, j1], tang[:, j2]
-            det = t1[:, 0] * t2[:, 1] - t1[:, 1] * t2[:, 0]
-            d1 = 2 * j1 + (cells[:, v] != lo_vertex[:, j1])
-            d2 = 2 * j2 + (cells[:, v] != lo_vertex[:, j2])
-            cmap[idx, 2 * v, d1] = t2[:, 1] / det
-            cmap[idx, 2 * v, d2] = -t1[:, 1] / det
-            cmap[idx, 2 * v + 1, d1] = -t2[:, 0] / det
-            cmap[idx, 2 * v + 1, d2] = t1[:, 0] / det
-        self.cmap = cmap
+            det = tx[j1] * ty[j2] - ty[j1] * tx[j2]
+            at[v, 0] = 2 * j1 + (self.corner_vertices[v] != lo_vertex[j1])
+            at[v, 1] = 2 * j2 + (self.corner_vertices[v] != lo_vertex[j2])
+            dual[:, v] = np.array([[ty[j2], -ty[j1]], [-tx[j2], tx[j1]]]) / det
 
-        # evaluation tensor: field(x_q)_a = eval_q[c,q,a,i] u_local[c,i]
-        self.eval_q = np.einsum("qv,cvai->cqai", self.lam, cmap.reshape(nc, 3, 2, 6))
+        self.n_edge_dofs = n = 2 * mesh.num_edges
+        cell = np.arange(nc)
+        # dof -> corner vectors, rows ordered (component, corner, cell)
+        self.cmap = sp.csr_matrix(
+            (
+                dual.transpose(0, 1, 3, 2).ravel(),
+                np.broadcast_to(dofs[cell, at].transpose(0, 2, 1), (2, 3, nc, 2)).ravel(),
+                np.arange(0, 12 * nc + 1, 2),
+            ),
+            shape=(6 * nc, n),
+        )
 
-        # curl is constant per cell: curl = curl_coeff[c,:] @ u_local
-        r = np.empty((nc, 6))
-        r[:, 0::2] = -self.grads[:, :, 1]
-        r[:, 1::2] = self.grads[:, :, 0]
-        self.curl_coeff = np.einsum("ck,cki->ci", r, cmap)
+        # curl is constant per cell: sum_v grad(lam_v) x (corner vector v)
+        gx, gy = self.grads[:, :, None]
+        self.curl_coeff = np.empty((nc, 6))
+        self.curl_coeff[cell, at] = gx * dual[1] - gy * dual[0]
+        self.curl = sp.csr_matrix(
+            (self.curl_coeff.ravel(), dofs.ravel(), np.arange(0, 6 * nc + 1, 6)), shape=(nc, n)
+        )
 
-        self.n_edge_dofs = 2 * mesh.num_edges
         self.dof_vertex = mesh.edges.ravel()  # dof 2e sits at edges[e, 0], 2e+1 at edges[e, 1]
         rows6 = np.broadcast_to(dofs[:, :, None], (nc, 6, 6))
         cols6 = np.broadcast_to(dofs[:, None, :], (nc, 6, 6))
-        self.edge_pattern = CsrPattern(rows6, cols6, self.n_edge_dofs)
-        self._edge_mass_data = self.edge_pattern.sum_duplicates(
-            self.edge_mass_local(self.nodal_weighted_local(1.0))
+        self.edge_pattern = CsrPattern(rows6, cols6, n)
+        # weighted edge mass: entry (i, j) of a cell is W[v(i), v(j)] (dual_i . dual_j)
+        # for its nodal weights W, so the scatter's column (v, w, c) feeds the
+        # four dof pairs (s, r) at corners v and w
+        slots = np.empty((3, 3, nc, 2, 2), dtype=np.int32)
+        dots = np.empty((3, 3, nc, 2, 2))
+        for s, r in np.ndindex(2, 2):
+            local = 36 * cell + 6 * at[:, None, s] + at[None, :, r]
+            slots[..., s, r] = self.edge_pattern._inv[local]
+            dots[..., s, r] = self.area * sum(d[:, None, s] * d[None, :, r] for d in dual)
+        self._mass_scatter = sp.csc_matrix(
+            (dots.ravel(), slots.ravel(), np.arange(0, 36 * nc + 1, 4, dtype=np.int32)),
+            shape=(self.edge_pattern.nnz, 9 * nc),
         )
+        self._edge_mass_data = self._mass_scatter @ np.repeat(_M2.ravel(), nc)
+        self.mass = self.edge_pattern.csr_from_data(self._edge_mass_data)
         curl_local = (
             self.area[:, None, None]
             * self.curl_coeff[:, :, None]
@@ -194,64 +234,31 @@ class _MeshOps:
         )
         self._curl_data = self.edge_pattern.sum_duplicates(curl_local)
 
-    # -- element kernels ---------------------------------------------------
+    # -- per-cell evaluation ---------------------------------------------------
 
-    def nodal_weighted_local(self, w_q) -> np.ndarray:
-        """Local matrices ``integral(w phi_v phi_w)`` for a scalar weight, (nc, 3, 3)."""
-        return ((self.wdx * w_q) @ self._lam_pairs).reshape(-1, 3, 3)
+    def corners(self, u) -> np.ndarray:
+        """Edge-space field at the cell corners, (2, 3, nc)."""
+        return (self.cmap @ u).reshape(2, 3, -1)
 
-    def edge_mass_local(self, W) -> np.ndarray:
-        """Local ``(w field, testfield)`` from the nodal matrices ``W`` of ``w``,
-        as ``cmap^T (W kron I_2) cmap``."""
-        cmap = self.cmap
-        corner = (W @ cmap.reshape(-1, 3, 12)).reshape(-1, 6, 6)
-        return cmap.transpose(0, 2, 1) @ corner
+    def gradients(self, p) -> np.ndarray:
+        """Per-cell gradients, (2, nc), of nodal fields with corner values ``p``, (3, nc)."""
+        return (self.grads * p).sum(axis=1)
 
-    def edge_load(self, F_q) -> np.ndarray:
-        """Scatter ``integral(F . testfield)`` to the global dof vector."""
-        loc = np.einsum("cqa,cqai->ci", self.wdx[:, :, None] * F_q, self.eval_q)
-        return np.bincount(
-            self.cell_dofs.ravel(), weights=loc.ravel(), minlength=self.n_edge_dofs
-        )
+    def moments(self, F_q) -> np.ndarray:
+        """``integral(F_a lam_v)``, (2, 3, nc), of a vector field given at the
+        quadrature points as (2, nc, nq); ``cmap.T`` takes them to the load."""
+        m = ((self.wdx * F_q).reshape(-1, len(WEIGHTS)) @ POINTS).reshape(2, -1, 3)
+        return m.transpose(0, 2, 1)
 
     def curl_load(self, h_q) -> np.ndarray:
-        """Scatter ``integral(h curl(testfield))`` for a scalar ``h_q``."""
-        loc = np.einsum("cq,ci->ci", self.wdx * h_q, self.curl_coeff)
-        return np.bincount(
-            self.cell_dofs.ravel(), weights=loc.ravel(), minlength=self.n_edge_dofs
-        )
-
-    # -- field evaluation ----------------------------------------------------
-
-    def edge_at_quad(self, u) -> np.ndarray:
-        uloc = u[self.cell_dofs]
-        return np.einsum("cqai,ci->cqa", self.eval_q, uloc)
-
-    def corner_vectors(self, u) -> np.ndarray:
-        """Field values at cell corners, (nc, 3, 2)."""
-        uloc = u[self.cell_dofs]
-        return np.einsum("cki,ci->ck", self.cmap, uloc).reshape(-1, 3, 2)
-
-    def curls(self, u) -> np.ndarray:
-        return np.einsum("ci,ci->c", self.curl_coeff, u[self.cell_dofs])
-
-    def nodal_at_quad(self, psi):
-        ploc = psi[self.cells]
-        vals = np.einsum("qv,cv->cq", self.lam, ploc)
-        grad = np.einsum("cvx,cv->cx", self.grads, ploc)
-        return vals, grad
-
-    def supercurrent_at_quad(self, psi, kappa) -> np.ndarray:
-        """``-(1/kappa) Im(conj(psi) grad psi)`` at the quadrature points."""
-        vals, grad = self.nodal_at_quad(psi)
-        cross = np.conj(vals)[:, :, None] * grad[:, None, :]
-        return (-1.0 / kappa) * cross.imag
+        """``integral(h curl(testfield))`` for every dof, for a scalar at the quadrature points."""
+        return self.curl.T @ (self.area * (h_q @ WEIGHTS))
 
     # -- curl-exact preconditioner -------------------------------------------
 
     @cached_property
     def _mass_diag(self) -> np.ndarray:
-        return self.edge_pattern.csr_from_data(self._edge_mass_data).diagonal()
+        return self.mass.diagonal()
 
     @cached_property
     def _curl_mass_trace_ratio(self) -> float:
@@ -262,7 +269,7 @@ class _MeshOps:
     def _cell_numbering(self):
         """Cuthill-McKee position of every cell, and the bandwidth of ``G_c``."""
         a, b, *_ = _shared_edges(self.cell_edges)
-        pos = _cuthill_mckee(len(self.cells), a, b)
+        pos = _cuthill_mckee(len(self.area), a, b)
         return pos, int(np.abs(pos[a] - pos[b]).max(initial=0))
 
     def cell_space_pays(self, s: float) -> bool:
@@ -275,7 +282,7 @@ class _MeshOps:
         """
         rho = self._curl_mass_trace_ratio / s
         bw = self._cell_numbering[1]
-        work = 1.0 + 4.0 * len(self.cells) * (bw + 1) / self.edge_pattern.nnz
+        work = 1.0 + 4.0 * len(self.area) * (bw + 1) / self.edge_pattern.nnz
         return math.sqrt(1.0 + rho) > work
 
     @cached_property
@@ -470,18 +477,15 @@ def assemble_Lhat(mesh: Mesh, A, kappa: float) -> sp.csr_matrix:
     recorded energy reads its covariant part off it.
     """
     ops = _ops(mesh)
-    A = np.asarray(A, dtype=float)
-    A_q = ops.edge_at_quad(A)
-    w_loc = ops.nodal_weighted_local(np.einsum("cqa,cqa->cq", A_q, A_q))
-    ivals = np.einsum("cq,qv,cqa->cva", ops.wdx, ops.lam, A_q)
-    g_loc = np.einsum("cwa,cva->cvw", ivals, ops.grads)
-    g_loc = g_loc - g_loc.transpose(0, 2, 1)
-    local = (
-        -(1.0 / kappa**2) * ops._stiff_local
-        - w_loc
-        + (1j / kappa) * g_loc
-    )
-    return ops.nodal_pattern.assemble(local)
+    ax, ay = ops.corners(np.asarray(A, dtype=float))
+    gx, gy = ops.grads
+    # flow[v, w] = integral((A . grad lam_v) lam_w) per unit area
+    flow = _M2 @ (gx[:, None] * ax[None, :] + gy[:, None] * ay[None, :])
+    local = np.empty(flow.shape, dtype=complex)
+    local.real = -(_T4 @ _gram(ax, ay)).reshape(flow.shape)
+    local.imag = (flow - flow.transpose(1, 0, 2)) / kappa
+    data = (ops._nodal_scatter @ local.view(float).reshape(-1, 2)).view(complex).ravel()
+    return ops.nodal_pattern.csr_from_data(data - ops._stiff_data / kappa**2)
 
 
 def assemble_A_system(mesh: Mesh, psi, sigma: float, tau: float) -> sp.csr_matrix:
@@ -494,12 +498,12 @@ def assemble_A_system(mesh: Mesh, psi, sigma: float, tau: float) -> sp.csr_matri
     if tau <= 0:
         raise ValueError("tau must be positive")
     ops = _ops(mesh)
-    psi_q, _ = ops.nodal_at_quad(np.asarray(psi, dtype=complex))
-    w_loc = ops.edge_mass_local(ops.nodal_weighted_local(np.abs(psi_q) ** 2))
+    p = np.asarray(psi, dtype=complex)[ops.corner_vertices]
+    weights = _T4 @ _gram(p.real, p.imag)  # integral(|psi|^2 lam_v lam_w) per unit area
     data = (
         (sigma / tau) * ops._edge_mass_data
         + ops._curl_data
-        + ops.edge_pattern.sum_duplicates(w_loc)
+        + ops._mass_scatter @ weights.ravel()
     )
     return ops.edge_pattern.csr_from_data(data)
 
@@ -514,12 +518,9 @@ def scalar_at_quad(mesh: Mesh, value, *args) -> np.ndarray:
 
 
 def _vector_at_quad(ops: _MeshOps, func, *args) -> np.ndarray:
-    """Callable ``f(x, y, *args) -> (fx, fy)`` evaluated at the quadrature points."""
-    fx, fy = func(ops.qpts[:, :, 0], ops.qpts[:, :, 1], *args)
-    out = np.empty(ops.qpts.shape)
-    out[:, :, 0] = fx
-    out[:, :, 1] = fy
-    return out
+    """Callable ``f(x, y, *args) -> (fx, fy)`` at the quadrature points, (2, nc, nq)."""
+    x, y = ops.qpts[:, :, 0], ops.qpts[:, :, 1]
+    return np.array(np.broadcast_arrays(*func(x, y, *args), x)[:2], dtype=float)
 
 
 def assemble_A_rhs(
@@ -543,13 +544,14 @@ def assemble_A_rhs(
     ``forcing``, when given, is a callable returning the two components.
     """
     ops = _ops(mesh)
-    A_prev = np.asarray(A_prev, dtype=float)
-    rhs = (sigma / tau) * (ops.edge_pattern.csr_from_data(ops._edge_mass_data) @ A_prev)
-    rhs = rhs + ops.curl_load(scalar_at_quad(mesh, H, t))
-    rhs = rhs - ops.edge_load(ops.supercurrent_at_quad(np.asarray(psi, dtype=complex), kappa))
+    p = np.asarray(psi, dtype=complex)[ops.corner_vertices]
+    # minus the supercurrent's moments: (1/kappa) sum_k M2[v, k] Im(conj(psi_k) grad_a psi)
+    pm = (_M2 @ p) * (ops.area / kappa)
+    moments = (ops.gradients(p)[:, None] * np.conj(pm)).imag
     if forcing is not None:
-        rhs = rhs + ops.edge_load(_vector_at_quad(ops, forcing, t))
-    return rhs
+        moments += ops.moments(_vector_at_quad(ops, forcing, t))
+    rhs = (sigma / tau) * (ops.mass @ np.asarray(A_prev, dtype=float))
+    return rhs + ops.curl_load(scalar_at_quad(mesh, H, t)) + ops.cmap.T @ moments.ravel()
 
 
 def ritz_projection(mesh: Mesh, A_func, curl_func) -> np.ndarray:
@@ -561,7 +563,7 @@ def ritz_projection(mesh: Mesh, A_func, curl_func) -> np.ndarray:
     from .linalg import cg_solve
 
     ops = _ops(mesh)
-    rhs = ops.edge_load(_vector_at_quad(ops, A_func))
+    rhs = ops.cmap.T @ ops.moments(_vector_at_quad(ops, A_func)).ravel()
     rhs = rhs + ops.curl_load(scalar_at_quad(mesh, curl_func))
     system = ops.edge_pattern.csr_from_data(ops._curl_data + ops._edge_mass_data)
     return cg_solve(system, rhs, precond=ops.curl_preconditioner(1.0, 1.0)).x
@@ -590,30 +592,32 @@ def interpolate_nodal(mesh: Mesh, f) -> np.ndarray:
 
 def curl_values(mesh: Mesh, A) -> np.ndarray:
     """Constant per-cell curl of an edge-space field."""
-    return _ops(mesh).curls(np.asarray(A, dtype=float))
+    return _ops(mesh).curl @ np.asarray(A, dtype=float)
 
 
 def corner_values(mesh: Mesh, A) -> np.ndarray:
     """Edge-space field at the cell corners, shape (nc, 3, 2)."""
-    return _ops(mesh).corner_vectors(np.asarray(A, dtype=float))
+    return _ops(mesh).corners(np.asarray(A, dtype=float)).T
 
 
 def edge_max_norm(mesh: Mesh, A) -> float:
     """Max pointwise Euclidean norm; linear fields attain it at corners."""
-    corners = _ops(mesh).corner_vectors(np.asarray(A, dtype=float))
-    return float(np.sqrt(np.einsum("cvx,cvx->cv", corners, corners).max(initial=0.0)))
+    corners = _ops(mesh).corners(np.asarray(A, dtype=float))
+    return float(np.sqrt((corners * corners).sum(axis=0).max(initial=0.0)))
 
 
 def evaluate_edge(mesh: Mesh, A):
-    """Edge field at quadrature points plus per-cell curls."""
+    """Edge field at quadrature points, (nc, nq, 2), plus per-cell curls."""
     ops = _ops(mesh)
     A = np.asarray(A, dtype=float)
-    return ops.edge_at_quad(A), ops.curls(A)
+    return (POINTS @ ops.corners(A)).T, ops.curl @ A
 
 
 def evaluate_nodal(mesh: Mesh, psi):
-    """Nodal field values at quadrature points plus per-cell gradients."""
-    return _ops(mesh).nodal_at_quad(np.asarray(psi, dtype=complex))
+    """Nodal field values at quadrature points, (nc, nq), plus per-cell gradients, (nc, 2)."""
+    ops = _ops(mesh)
+    p = np.asarray(psi, dtype=complex)[ops.corner_vertices]
+    return (POINTS @ p).T, ops.gradients(p).T
 
 
 def quadrature_info(mesh: Mesh):

@@ -49,6 +49,7 @@ __all__ = [
     "ConvergenceError",
     "CgResult",
     "cg_solve",
+    "CG_TOL",
     "KRYLOV_TOL",
     "KRYLOV_MAX_DIM",
     "phi1",
@@ -72,21 +73,21 @@ class CgResult:
     residual: float
 
 
-def cg_solve(
-    matrix, rhs, *, precond, tol: float = 1e-12, max_iter: int | None = None, x0=None
-) -> CgResult:
+#: relative residual at which the conjugate gradient stops
+CG_TOL = 1e-12
+
+
+def cg_solve(matrix, rhs, *, precond, x0=None) -> CgResult:
     """Preconditioned conjugate gradient for SPD systems.
 
     ``precond(r)`` applies an SPD approximation of ``matrix^{-1}``. Stops
-    when ``||rhs - matrix @ x|| <= tol * ||rhs||``. A zero ``rhs`` returns
-    the zero vector immediately. Raises :class:`ConvergenceError` after ``max_iter``
-    iterations (default ``10 * n``), or as soon as the residual is not
-    finite.
+    when ``||rhs - matrix @ x|| <= CG_TOL * ||rhs||``. A zero ``rhs`` returns
+    the zero vector immediately. Raises :class:`ConvergenceError` after
+    ``10 * n`` iterations, or as soon as the residual is not finite.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = len(rhs)
-    if max_iter is None:
-        max_iter = 10 * n
+    max_iter = 10 * n
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         return CgResult(np.zeros(n), 0, 0.0)
@@ -108,14 +109,14 @@ def cg_solve(
         x = np.array(x0, dtype=float)
         r = rhs - matrix @ x
     resid = float(np.linalg.norm(r))
-    target = tol * bnorm
+    target = CG_TOL * bnorm
 
     it = 0
     while not resid <= target:  # a NaN residual enters the loop and fails there
         if not math.isfinite(resid):
             raise fail(f"residual is not finite after {it} iterations", it, resid)
         if it == max_iter:
-            raise fail(f"did not reach tol={tol:g} in {max_iter} iterations", it, resid)
+            raise fail(f"did not reach tol={CG_TOL:g} in {max_iter} iterations", it, resid)
         z = precond(r)
         rz_new = float(r @ z)
         p = z if it == 0 else z + (rz_new / rz) * p

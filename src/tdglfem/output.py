@@ -71,8 +71,10 @@ def write_timeseries_csv(path, rows, cadence: int = 1) -> None:
     _write(path, format_timeseries_csv(rows, cadence))
 
 
-def _e(v: float) -> str:
-    return f"{v:.12e}"
+def _lines(fmt: str, rows) -> str:
+    """One ``fmt`` line per row of ``rows``, formatted in a single operation."""
+    rows = np.asarray(rows)
+    return (fmt + "\n") * len(rows) % tuple(rows.ravel().tolist())
 
 
 def format_vtk_snapshot(mesh: Mesh, A, psi, t: float) -> str:
@@ -84,39 +86,31 @@ def format_vtk_snapshot(mesh: Mesh, A, psi, t: float) -> str:
     psi = np.asarray(psi, dtype=complex)
     A = np.asarray(A, dtype=float)
     nv, nc = mesh.num_vertices, mesh.num_cells
-
-    out = [
-        "# vtk DataFile Version 3.0",
-        f"order parameter and vector potential at t={t!r}",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {nv} double",
-    ]
-    out.extend(f"{_e(x)} {_e(y)} {_e(0.0)}" for x, y in mesh.vertices)
-    out.append(f"CELLS {nc} {4 * nc}")
-    out.extend(f"3 {i} {j} {k}" for i, j, k in mesh.cells)
-    out.append(f"CELL_TYPES {nc}")
-    out.extend("5" for _ in range(nc))
-
-    out.append(f"POINT_DATA {nv}")
-    for name, values in (
-        ("psi_abs", np.abs(psi)),
-        ("psi_re", psi.real),
-        ("psi_im", psi.imag),
-    ):
-        out.append(f"SCALARS {name} double 1")
-        out.append("LOOKUP_TABLE default")
-        out.extend(_e(v) for v in values)
-
     curls = fem.curl_values(mesh, A)
     centroid_vals = fem.corner_values(mesh, A).mean(axis=1)
     a_mag = np.sqrt(np.einsum("cx,cx->c", centroid_vals, centroid_vals))
-    out.append(f"CELL_DATA {nc}")
-    for name, values in (("curl_A", curls), ("A_mag", a_mag)):
-        out.append(f"SCALARS {name} double 1")
-        out.append("LOOKUP_TABLE default")
-        out.extend(_e(v) for v in values)
-    return "\n".join(out) + "\n"
+
+    out = [
+        "# vtk DataFile Version 3.0\n",
+        f"order parameter and vector potential at t={t!r}\n",
+        "ASCII\n",
+        "DATASET UNSTRUCTURED_GRID\n",
+        f"POINTS {nv} double\n",
+        _lines("%.12e %.12e %.12e", np.column_stack([mesh.vertices, np.zeros(nv)])),
+        f"CELLS {nc} {4 * nc}\n",
+        _lines("3 %d %d %d", mesh.cells),
+        f"CELL_TYPES {nc}\n",
+        "5\n" * nc,
+    ]
+    for header, fields in (
+        (f"POINT_DATA {nv}\n", (("psi_abs", np.abs(psi)), ("psi_re", psi.real), ("psi_im", psi.imag))),
+        (f"CELL_DATA {nc}\n", (("curl_A", curls), ("A_mag", a_mag))),
+    ):
+        out.append(header)
+        for name, values in fields:
+            out.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            out.append(_lines("%.12e", values))
+    return "".join(out)
 
 
 def write_vtk_snapshot(path, mesh: Mesh, A, psi, t: float) -> None:

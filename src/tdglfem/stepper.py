@@ -70,9 +70,6 @@ MBP_SLACK = 1e-10
 #: relative slack allowed on the per-step energy decrease
 ENERGY_SLACK = 1e-9
 
-#: relative residual at which the vector-potential CG solve stops
-CG_TOL = 1e-12
-
 #: factor on the ``mu = "auto"`` shift ``0.375 ||A||_inf^2``
 MU_SAFETY = 2.0
 
@@ -325,7 +322,7 @@ def step_A(state: SimulationState, params: SchemeParams, tau: float, t_n: float)
     x0 = state.A
     if state.A_prev is not None:
         x0 = state.A + (tau / state.tau_current) * (state.A - state.A_prev)
-    return cg_solve(system, rhs, tol=CG_TOL, x0=x0, precond=precond).x
+    return cg_solve(system, rhs, x0=x0, precond=precond).x
 
 
 def _mu_for(mesh: Mesh, A, params: SchemeParams) -> float:

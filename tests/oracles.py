@@ -1,5 +1,6 @@
 """Reference paths that only the tests use: the dense ``phi`` oracle, the
-random-vector audit of ``L = D^{-1} Lhat - mu I`` and the edge interpolant.
+random-vector audit of ``L = D^{-1} Lhat - mu I``, the edge interpolant and
+the quadrature form of every assembly kernel.
 
 Not collected by pytest; the tests import it as ``from oracles import ...``.
 """
@@ -8,6 +9,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+
+from tdglfem.quadrature import POINTS, WEIGHTS
 
 
 def _oracle_phi1(a):
@@ -109,3 +113,150 @@ def interpolate_edge(mesh, A_func) -> np.ndarray:
     u[0::2] = np.einsum("ex,ex->e", vert_vals[mesh.edges[:, 0]], t)
     u[1::2] = np.einsum("ex,ex->e", vert_vals[mesh.edges[:, 1]], t)
     return u
+
+
+# ---------------------------------------------------------------------------
+# quadrature references of the assembly kernels
+#
+# Each kernel the direct way: fields at the six points of the degree-4 rule
+# through a dense per-cell dof-to-corner map, integrated point by point, and
+# summed into a sparse matrix by scipy.
+
+
+def _geometry(mesh):
+    """Barycentric gradients (nc, 3, 2), edge dofs (nc, 6), the dense dof-to-corner
+    map (nc, 6, 6) with rows (corner, component), the quadrature points
+    (nc, nq, 2) and ``area * weight`` (nc, nq)."""
+    cells, nc = mesh.cells, mesh.num_cells
+    p = mesh.vertices[cells]
+    area = mesh.cell_areas
+    b = p[:, [1, 2, 0], 1] - p[:, [2, 0, 1], 1]
+    c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]
+    grads = np.stack([b, c], axis=2) / (2.0 * area)[:, None, None]
+
+    eid = mesh.cell_edges
+    tang = mesh.edge_tangents[eid]
+    lo = mesh.edges[eid, 0]
+    dofs = np.empty((nc, 6), dtype=np.int64)
+    dofs[:, 0::2] = 2 * eid
+    dofs[:, 1::2] = 2 * eid + 1
+    cmap = np.zeros((nc, 6, 6))
+    idx = np.arange(nc)
+    for v, (j1, j2) in enumerate(((0, 2), (0, 1), (1, 2))):
+        t1, t2 = tang[:, j1], tang[:, j2]
+        det = t1[:, 0] * t2[:, 1] - t1[:, 1] * t2[:, 0]
+        d1 = 2 * j1 + (cells[:, v] != lo[:, j1])
+        d2 = 2 * j2 + (cells[:, v] != lo[:, j2])
+        cmap[idx, 2 * v, d1] = t2[:, 1] / det
+        cmap[idx, 2 * v, d2] = -t1[:, 1] / det
+        cmap[idx, 2 * v + 1, d1] = -t2[:, 0] / det
+        cmap[idx, 2 * v + 1, d2] = t1[:, 0] / det
+    qpts = np.einsum("qv,cvx->cqx", POINTS, p)
+    return grads, dofs, cmap, qpts, area[:, None] * WEIGHTS
+
+
+def _assemble(index, local, n):
+    rows = np.broadcast_to(index[:, :, None], local.shape).ravel()
+    cols = np.broadcast_to(index[:, None, :], local.shape).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _load(index, local, n):
+    return np.bincount(index.ravel(), weights=local.ravel(), minlength=n)
+
+
+def _eval_q(cmap):
+    """Test fields at the quadrature points: ``[c, q, a, i]``."""
+    return np.einsum("qv,cvai->cqai", POINTS, cmap.reshape(len(cmap), 3, 2, 6))
+
+
+def _curl_coeff(mesh):
+    """Per-cell rows ``curl = curl_coeff[c] @ u[dofs[c]]``, (nc, 6)."""
+    grads, dofs, cmap, _, _ = _geometry(mesh)
+    r = np.empty((len(dofs), 6))
+    r[:, 0::2] = -grads[:, :, 1]
+    r[:, 1::2] = grads[:, :, 0]
+    return np.einsum("ck,cki->ci", r, cmap)
+
+
+def edge_at_quad(mesh, u):
+    """Edge field at the quadrature points (nc, nq, 2) and its per-cell curls."""
+    _, dofs, cmap, _, _ = _geometry(mesh)
+    uloc = np.asarray(u, dtype=float)[dofs]
+    curls = np.einsum("ci,ci->c", _curl_coeff(mesh), uloc)
+    return np.einsum("cqai,ci->cqa", _eval_q(cmap), uloc), curls
+
+
+def nodal_at_quad(mesh, psi):
+    """Nodal field at the quadrature points (nc, nq) and its per-cell gradients (nc, 2)."""
+    grads = _geometry(mesh)[0]
+    ploc = np.asarray(psi, dtype=complex)[mesh.cells]
+    return np.einsum("qv,cv->cq", POINTS, ploc), np.einsum("cvx,cv->cx", grads, ploc)
+
+
+def quadrature_Lhat(mesh, A, kappa):
+    grads, _, _, _, wdx = _geometry(mesh)
+    A_q, _ = edge_at_quad(mesh, A)
+    stiff = np.einsum("c,cvx,cwx->cvw", mesh.cell_areas, grads, grads)
+    mass = np.einsum("cq,qv,qw->cvw", wdx * np.einsum("cqa,cqa->cq", A_q, A_q), POINTS, POINTS)
+    ivals = np.einsum("cq,qv,cqa->cva", wdx, POINTS, A_q)
+    flow = np.einsum("cwa,cva->cvw", ivals, grads)
+    local = -stiff / kappa**2 - mass + (1j / kappa) * (flow - flow.transpose(0, 2, 1))
+    return _assemble(mesh.cells, local, mesh.num_vertices)
+
+
+def quadrature_edge_mass(mesh, w_q):
+    """``(w field, testfield)`` on the edge space for a scalar ``w`` at the quadrature points."""
+    _, dofs, cmap, _, wdx = _geometry(mesh)
+    ev = _eval_q(cmap)
+    local = np.einsum("cq,cqai,cqaj->cij", wdx * w_q, ev, ev)
+    return _assemble(dofs, local, 2 * mesh.num_edges)
+
+
+def quadrature_curl_curl(mesh):
+    cc = _curl_coeff(mesh)
+    local = mesh.cell_areas[:, None, None] * cc[:, :, None] * cc[:, None, :]
+    return _assemble(_geometry(mesh)[1], local, 2 * mesh.num_edges)
+
+
+def quadrature_A_system(mesh, psi, sigma, tau):
+    psi_q, _ = nodal_at_quad(mesh, psi)
+    return (
+        (sigma / tau) * quadrature_edge_mass(mesh, 1.0)
+        + quadrature_curl_curl(mesh)
+        + quadrature_edge_mass(mesh, np.abs(psi_q) ** 2)
+    )
+
+
+def _vector_load(mesh, F_q):
+    _, dofs, cmap, _, wdx = _geometry(mesh)
+    local = np.einsum("cqa,cqai->ci", wdx[:, :, None] * F_q, _eval_q(cmap))
+    return _load(dofs, local, 2 * mesh.num_edges)
+
+
+def _curl_load(mesh, h):
+    _, dofs, _, qpts, wdx = _geometry(mesh)
+    h_q = h(qpts[..., 0], qpts[..., 1]) if callable(h) else np.full_like(wdx, h)
+    return _load(dofs, (wdx * h_q).sum(axis=1)[:, None] * _curl_coeff(mesh), 2 * mesh.num_edges)
+
+
+def _at_quad(mesh, func):
+    x, y = _geometry(mesh)[3].transpose(2, 0, 1)
+    fx, fy, _ = np.broadcast_arrays(*func(x, y), x)
+    return np.stack([fx, fy], axis=-1)
+
+
+def quadrature_A_rhs(mesh, psi, A_prev, H, kappa, sigma, tau, t, forcing=None):
+    vals, grad = nodal_at_quad(mesh, psi)
+    supercurrent = (-1.0 / kappa) * (np.conj(vals)[:, :, None] * grad[:, None, :]).imag
+    rhs = (sigma / tau) * (quadrature_edge_mass(mesh, 1.0) @ A_prev)
+    rhs = rhs + _curl_load(mesh, (lambda x, y: H(x, y, t)) if callable(H) else H)
+    rhs = rhs - _vector_load(mesh, supercurrent)
+    if forcing is not None:
+        rhs = rhs + _vector_load(mesh, _at_quad(mesh, lambda x, y: forcing(x, y, t)))
+    return rhs
+
+
+def quadrature_ritz_load(mesh, A_func, curl_func):
+    """Right-hand side of the Ritz projection: ``(curl_func, curl B) + (A_func, B)``."""
+    return _vector_load(mesh, _at_quad(mesh, A_func)) + _curl_load(mesh, curl_func)

@@ -3,9 +3,10 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from tdglfem import fem
+from tdglfem import fem, linalg
 from tdglfem.diagnostics import discrete_energy
 from tdglfem.fem import (
     assemble_A_rhs,
@@ -25,13 +26,14 @@ from tdglfem.fem import (
 from tdglfem.mesh import generate_uniform_square
 from tdglfem.scenarios import holed_square_mesh, lshape_mesh, unit_square_mesh
 
+import oracles
 from oracles import interpolate_edge
 
 
 def stiffness(mesh):
     """P1 stiffness ``integral(grad phi_i . grad phi_j)``, from the assembly data."""
     ops = fem._ops(mesh)
-    return ops.nodal_pattern.assemble(ops._stiff_local)
+    return ops.nodal_pattern.csr_from_data(ops._stiff_data.copy())
 
 
 def edge_mass(mesh):
@@ -288,39 +290,90 @@ MESH_FAMILIES = pytest.mark.parametrize(
 
 
 def relative_gap(a, b):
-    return spla.norm(a - b) / spla.norm(b)
+    norm = spla.norm if sp.issparse(b) else np.linalg.norm
+    return norm(a - b) / norm(b)
 
 
-def quadrature_edge_mass(mesh, w_q):
-    """``(w field, testfield)`` by the degree-4 rule, one einsum over all points."""
-    ops = fem._ops(mesh)
-    local = np.einsum("cq,cqai,cqaj->cij", ops.wdx * w_q, ops.eval_q, ops.eval_q)
-    return ops.edge_pattern.assemble(local)
+def unit_random_psi(mesh, rng):
+    n = mesh.num_vertices
+    return rng.uniform(0, 1, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+
+
+@MESH_FAMILIES
+@pytest.mark.parametrize("kappa", [1.0, 1e3])
+def test_Lhat_matches_quadrature(mesh, rng, kappa):
+    # the real part is the stiffness plus the |A|^2 mass (the mass dominates at a
+    # large kappa), the imaginary part the A . (phi grad phi) term alone
+    A = rng.standard_normal(num_edge_dofs(mesh))
+    L = assemble_Lhat(mesh, A, kappa)
+    ref = oracles.quadrature_Lhat(mesh, A, kappa)
+    assert relative_gap(L.real, ref.real) <= 1e-13
+    assert relative_gap(L.imag, ref.imag) <= 1e-13
 
 
 @MESH_FAMILIES
 def test_A_system_matches_quadrature(mesh, rng):
-    n = mesh.num_vertices
-    psi = rng.uniform(0, 1, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-    psi_q, _ = evaluate_nodal(mesh, psi)
-    M = quadrature_edge_mass(mesh, 1.0)
-    assert relative_gap(edge_mass(mesh), M) <= 1e-13
-    ref = (1.3 / 0.07) * M + curl_curl(mesh) + quadrature_edge_mass(mesh, np.abs(psi_q) ** 2)
-    assert relative_gap(assemble_A_system(mesh, psi, sigma=1.3, tau=0.07), ref) <= 1e-13
+    psi = unit_random_psi(mesh, rng)
+    assert relative_gap(edge_mass(mesh), oracles.quadrature_edge_mass(mesh, 1.0)) <= 1e-13
+    ref = oracles.quadrature_A_system(mesh, psi, sigma=1.3, tau=0.07)
+    S = assemble_A_system(mesh, psi, sigma=1.3, tau=0.07)
+    assert relative_gap(S, ref) <= 1e-13
+    # the |psi|^2-weighted mass alone, which (sigma/tau) M would swamp
+    weighted = S - assemble_A_system(mesh, 0 * psi, sigma=1.3, tau=0.07)
+    psi_q, _ = oracles.nodal_at_quad(mesh, psi)
+    assert relative_gap(weighted, oracles.quadrature_edge_mass(mesh, np.abs(psi_q) ** 2)) <= 1e-13
+
+
+#: one term of the A-step right-hand side each, so that no term hides behind another
+RHS_TERMS = {
+    "previous_state": {"A_prev": True},
+    "supercurrent": {"psi": True},
+    "constant_H": {"H": 0.7},
+    "callable_H": {"H": lambda x, y, t: np.sin(x + t) * y},
+    "forcing": {"forcing": lambda x, y, t: (x * y + t, np.cos(x - y))},
+}
 
 
 @MESH_FAMILIES
-def test_Lhat_field_mass_matches_quadrature(mesh, rng):
-    # the real part of Lhat(A) - Lhat(0) is -integral(|A|^2 phi_i phi_j); a
-    # large kappa keeps the cancelled stiffness term far below the tolerance
+@pytest.mark.parametrize("term", sorted(RHS_TERMS))
+def test_A_rhs_matches_quadrature(mesh, rng, term):
+    spec = RHS_TERMS[term]
+    psi = unit_random_psi(mesh, rng) * bool(spec.get("psi"))
+    A_prev = rng.standard_normal(num_edge_dofs(mesh)) * bool(spec.get("A_prev"))
+    args = (mesh, psi, A_prev, spec.get("H", 0.0), 1.7, 1.3, 0.07, 0.4)
+    rhs = assemble_A_rhs(*args, forcing=spec.get("forcing"))
+    ref = oracles.quadrature_A_rhs(*args, forcing=spec.get("forcing"))
+    assert relative_gap(rhs, ref) <= 1e-13
+
+
+@MESH_FAMILIES
+@pytest.mark.parametrize("part", ["field", "curl"])
+def test_ritz_load_matches_quadrature(mesh, monkeypatch, part):
+    seen = []
+
+    def capture(matrix, rhs, **kwargs):
+        seen.append((matrix, rhs))
+        return linalg.CgResult(np.zeros_like(rhs), 0, 0.0)
+
+    monkeypatch.setattr(linalg, "cg_solve", capture)
+    scale = float(part == "field")
+    field = lambda x, y: (scale * np.sin(x) * y, scale * (x * x - y))
+    curl = lambda x, y: (1.0 - scale) * np.cos(x + 2 * y)
+    ritz_projection(mesh, field, curl)
+    (matrix, rhs), = seen
+    assert relative_gap(rhs, oracles.quadrature_ritz_load(mesh, field, curl)) <= 1e-13
+    system = oracles.quadrature_edge_mass(mesh, 1.0) + oracles.quadrature_curl_curl(mesh)
+    assert relative_gap(matrix, system) <= 1e-13
+
+
+@MESH_FAMILIES
+def test_evaluation_matches_quadrature(mesh, rng):
     A = rng.standard_normal(num_edge_dofs(mesh))
-    A_q, _ = evaluate_edge(mesh, A)
-    _, wdx = quadrature_info(mesh)
-    ops = fem._ops(mesh)
-    local = np.einsum("cq,qv,qw->cvw", wdx * np.einsum("cqa,cqa->cq", A_q, A_q), ops.lam, ops.lam)
-    ref = -ops.nodal_pattern.assemble(local)
-    term = (assemble_Lhat(mesh, A, 1e3) - assemble_Lhat(mesh, 0 * A, 1e3)).real
-    assert relative_gap(term, ref) <= 1e-13
+    psi = unit_random_psi(mesh, rng)
+    for got, ref in zip(evaluate_edge(mesh, A) + evaluate_nodal(mesh, psi),
+                        oracles.edge_at_quad(mesh, A) + oracles.nodal_at_quad(mesh, psi)):
+        assert got.shape == ref.shape
+        assert relative_gap(got, ref) <= 1e-13
 
 
 def test_covariant_seminorm_gauge_example(square2):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from tdglfem import fem
 from tdglfem.diagnostics import ErrorReport
-from tdglfem.fem import interpolate_nodal
+from tdglfem.fem import interpolate_nodal, num_edge_dofs
 from tdglfem.output import (
     CONVERGENCE_HEADER,
     CSV_HEADER,
@@ -13,6 +14,7 @@ from tdglfem.output import (
     write_timeseries_csv,
     write_vtk_snapshot,
 )
+from tdglfem.scenarios import holed_square_mesh, lshape_mesh
 from tdglfem.stepper import TimeSeriesRow
 
 from oracles import interpolate_edge
@@ -149,6 +151,46 @@ def test_vtk_field_values(snapshot):
     )
     at = lines.index("SCALARS curl_A double 1") + 2
     np.testing.assert_allclose([float(v) for v in lines[at : at + nc]], 2.0, rtol=1e-11)
+
+
+def reference_vtk(mesh, A, psi, t):
+    """The writer as it formatted one value at a time, kept to pin the bytes."""
+    e = lambda v: f"{v:.12e}"
+    nv, nc = mesh.num_vertices, mesh.num_cells
+    out = [
+        "# vtk DataFile Version 3.0",
+        f"order parameter and vector potential at t={t!r}",
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {nv} double",
+    ]
+    out.extend(f"{e(x)} {e(y)} {e(0.0)}" for x, y in mesh.vertices)
+    out.append(f"CELLS {nc} {4 * nc}")
+    out.extend(f"3 {i} {j} {k}" for i, j, k in mesh.cells)
+    out.append(f"CELL_TYPES {nc}")
+    out.extend("5" for _ in range(nc))
+    out.append(f"POINT_DATA {nv}")
+    for name, values in (("psi_abs", np.abs(psi)), ("psi_re", psi.real), ("psi_im", psi.imag)):
+        out.extend([f"SCALARS {name} double 1", "LOOKUP_TABLE default"])
+        out.extend(e(v) for v in values)
+    centroid = fem.corner_values(mesh, A).mean(axis=1)
+    out.append(f"CELL_DATA {nc}")
+    for name, values in (
+        ("curl_A", fem.curl_values(mesh, A)),
+        ("A_mag", np.sqrt(np.einsum("cx,cx->c", centroid, centroid))),
+    ):
+        out.extend([f"SCALARS {name} double 1", "LOOKUP_TABLE default"])
+        out.extend(e(v) for v in values)
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("mesh", [holed_square_mesh(1), lshape_mesh(8)], ids=["holed1", "lshape8"])
+def test_vtk_matches_reference_formatter(mesh, rng):
+    n = mesh.num_vertices
+    psi = rng.uniform(0, 1, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    psi[0] = complex(-0.0, 1e-300)
+    A = rng.standard_normal(num_edge_dofs(mesh))
+    assert format_vtk_snapshot(mesh, A, psi, 0.3) == reference_vtk(mesh, A, psi, 0.3)
 
 
 def test_vtk_deterministic(snapshot, tmp_path):
