@@ -6,7 +6,8 @@ and uniformity audit), and ``scenarios`` (list the built-in setups).
 
 Exit codes: 0 on success, 2 for configuration problems (bad config text,
 unreadable or malformed mesh files, inconsistent parameters), 3 for solver
-failures or policy refusals (iteration caps, obtuse meshes, aborted checks).
+failures or policy refusals (iteration caps, obtuse meshes, aborted checks);
+a ``run`` failing in its time loop still writes the accepted rows.
 
 Heavy imports happen inside the handlers so ``--threads`` can pin the BLAS
 thread pools through the environment before numpy loads.
@@ -114,16 +115,16 @@ def _cmd_run(args) -> int:
         print(f"snapshot {name} (t={state.t:g}, requested {t_nominal:g})")
         snap_counter[0] += 1
 
-    state = run(
-        prepared.mesh,
-        prepared.params,
-        snapshot_times=prepared.output.snapshots,
-        on_snapshot=on_snapshot,
-    )
+    series = os.path.join(out_dir, "series.csv")
+    try:
+        state = run(prepared.mesh, prepared.params,
+                    snapshot_times=prepared.output.snapshots, on_snapshot=on_snapshot)
+    except Exception as exc:
+        if hasattr(exc, "state"):  # ``run`` attaches the accepted steps to a failed step's error
+            write_timeseries_csv(series, exc.state.history, prepared.output.series_cadence)
+        raise
 
-    write_timeseries_csv(
-        os.path.join(out_dir, "series.csv"), state.history, prepared.output.series_cadence
-    )
+    write_timeseries_csv(series, state.history, prepared.output.series_cadence)
     write_vtk_snapshot(os.path.join(out_dir, "final.vtk"), state.mesh, state.A, state.psi, state.t)
 
     final = state.history[-1]

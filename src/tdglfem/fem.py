@@ -87,15 +87,16 @@ class CsrPattern:
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
         keys = rows * n + cols
-        ukeys, inv = np.unique(keys, return_inverse=True)
-        self._inv = inv
+        # ``np.unique(keys, return_inverse=True)`` by one stable sort and a cumsum
+        order = np.argsort(keys, kind="stable")
+        first = np.r_[True, np.diff(keys[order]) != 0]
+        self._inv = np.empty_like(order)
+        self._inv[order] = np.cumsum(first) - 1
+        ukeys = keys[order[first]]
         self.nnz = len(ukeys)
         self.shape = (n, n)
         self.indices = (ukeys % n).astype(np.int32)
-        counts = np.bincount((ukeys // n).astype(np.int64), minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(counts, out=indptr[1:])
-        self.indptr = indptr
+        self.indptr = np.searchsorted(ukeys, np.arange(n + 1) * n).astype(np.int32)
 
     def sum_duplicates(self, values) -> np.ndarray:
         return np.bincount(self._inv, weights=np.ravel(values), minlength=self.nnz)

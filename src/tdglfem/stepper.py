@@ -4,8 +4,9 @@ Each accepted step advances the pair ``(psi, A)`` from ``t`` to ``t + tau``
 in two substeps that never couple implicitly:
 
 1. vector-potential step (backward Euler): solve the SPD system
-   ``(sigma/tau) M A + K A + M_{|psi|^2} A = (sigma/tau) M A_prev + loads``
-   with the order parameter frozen at the previous level;
+   ``(sigma/tau) M A + K A + M_{|psi|^2} A = (sigma/tau) M A_n + loads``
+   with the order parameter frozen at the previous level, by CG from the
+   Galerkin projection onto the last ``RECENT_LEVELS`` potentials;
 2. order-parameter step (stabilized exponential Euler): with
    ``L = D^{-1} Lhat(A_new) - mu I`` and ``F = (1 - |psi|^2) psi + mu psi
    + forcing``, the first-order ETD update ``psi_new = exp(tau L) psi -
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import fem
 from .diagnostics import EnergyBreakdown, discrete_energy, mbp_stats
-from .linalg import cg_solve, phi_apply
+from .linalg import ConvergenceError, RecentSpan, cg_solve, phi_apply
 from .mesh import Mesh, audit_mesh
 
 __all__ = [
@@ -207,7 +208,6 @@ class SimulationState:
     mesh: Mesh
     A: np.ndarray
     psi: np.ndarray
-    A_prev: np.ndarray | None = None  # ``A`` one level back; None before the first step
     t: float = 0.0
     n: int = 0
     tau_current: float = math.nan
@@ -215,6 +215,11 @@ class SimulationState:
     energy_violations: list[tuple[float, float, float]] = field(default_factory=list)
     mbp_violations: list[tuple[float, float]] = field(default_factory=list)
     mbp_guaranteed: bool = True
+    recent: RecentSpan = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.recent = RecentSpan(len(self.A))
+        self.recent.push(self.A)
 
     @property
     def step_energies(self) -> list[float]:
@@ -222,13 +227,11 @@ class SimulationState:
         return [row.total for row in self.history[1:]]
 
 
-def _record_energy(state: SimulationState, params: SchemeParams, Lhat, tau: float) -> TimeSeriesRow:
-    energy: EnergyBreakdown = discrete_energy(
-        state.mesh, Lhat, state.A, state.psi, params.H, state.t
-    )
-    max_mod, _ = mbp_stats(state.psi)
-    row = TimeSeriesRow(
-        t=state.t,
+def _energy_row(mesh: Mesh, params: SchemeParams, Lhat, A, psi, t, tau) -> TimeSeriesRow:
+    energy: EnergyBreakdown = discrete_energy(mesh, Lhat, A, psi, params.H, t)
+    max_mod, _ = mbp_stats(psi)
+    return TimeSeriesRow(
+        t=t,
         tau=tau,
         total=energy.total,
         covariant=energy.covariant,
@@ -236,8 +239,6 @@ def _record_energy(state: SimulationState, params: SchemeParams, Lhat, tau: floa
         potential=energy.potential,
         max_psi=max_mod,
     )
-    state.history.append(row)
-    return row
 
 
 def initialize(mesh: Mesh, A0, psi0, params: SchemeParams) -> SimulationState:
@@ -292,17 +293,18 @@ def initialize(mesh: Mesh, A0, psi0, params: SchemeParams) -> SimulationState:
             stacklevel=2,
         )
         state.mbp_guaranteed = False
-    _record_energy(state, params, fem.assemble_Lhat(mesh, A, params.kappa), tau=0.0)
+    Lhat = fem.assemble_Lhat(mesh, A, params.kappa)
+    state.history.append(_energy_row(mesh, params, Lhat, A, psi, 0.0, 0.0))
     return state
 
 
 def step_A(state: SimulationState, params: SchemeParams, tau: float, t_n: float) -> np.ndarray:
     """Backward-Euler vector-potential substep; returns the new dof vector.
 
-    The conjugate gradient solve starts from the linear extrapolation
-    ``A_n + (tau / tau_prev) (A_n - A_{n-1})`` (from ``A_n`` on the first
-    step); the stopping rule, relative to the right-hand side, keeps it
-    deterministic. The preconditioner is the one
+    CG starts from ``state.recent.start``: in the system's energy norm, the
+    best point in the span of the last ``RECENT_LEVELS`` accepted potentials,
+    so never worse than extrapolating ``A_n`` and ``A_{n-1}``. It stops at
+    ``CG_TOL`` whatever the start. The preconditioner is the one
     :func:`fem.A_system_preconditioner` picks.
     """
     mesh = state.mesh
@@ -319,9 +321,7 @@ def step_A(state: SimulationState, params: SchemeParams, tau: float, t_n: float)
         forcing=params.forcing_A,
     )
     precond = fem.A_system_preconditioner(mesh, params.sigma, tau)
-    x0 = state.A
-    if state.A_prev is not None:
-        x0 = state.A + (tau / state.tau_current) * (state.A - state.A_prev)
+    x0 = state.recent.start(system, rhs)
     return cg_solve(system, rhs, x0=x0, precond=precond).x
 
 
@@ -394,7 +394,8 @@ def run(
     first accepted step reaching it (and immediately for times at or below
     zero). The returned state carries the full per-step time series and any
     recorded violations; whether violations warn or abort is set by
-    ``params.energy_check`` / ``params.mbp_check``.
+    ``params.energy_check`` / ``params.mbp_check``. A step's solver error,
+    aborting check or non-finite value propagates with ``state`` attached.
     """
     state = initialize(mesh, params.A0, params.psi0, params)
     pending = sorted(float(s) for s in snapshot_times)
@@ -413,43 +414,39 @@ def run(
     check_energy = params.energy_check != "off" and params.dissipation_guaranteed
     check_mbp = params.mbp_check != "off" and state.mbp_guaranteed
 
-    while state.t < params.T - eps:
-        if isinstance(params.tau, AdaptiveTau):
-            tau = adaptive_tau(state.step_energies, state.tau_current, params.tau)
-        else:
-            tau = float(params.tau)
-        t_new = state.t + tau
+    try:
+        while state.t < params.T - eps:
+            if isinstance(params.tau, AdaptiveTau):
+                tau = adaptive_tau(state.step_energies, state.tau_current, params.tau)
+            else:
+                tau = float(params.tau)
+            t_new = state.t + tau
 
-        A_new = step_A(state, params, tau, t_new)
-        state.A_prev, state.A = state.A, A_new
-        Lhat = fem.assemble_Lhat(mesh, A_new, params.kappa)
-        psi_new = step_psi(state, params, A_new, Lhat, tau)
+            A_new = step_A(state, params, tau, t_new)
+            Lhat = fem.assemble_Lhat(mesh, A_new, params.kappa)
+            psi_new = step_psi(state, params, A_new, Lhat, tau)
+            row = _energy_row(mesh, params, Lhat, A_new, psi_new, t_new, tau)
+            g_prev = state.history[-1].total
 
-        g_prev = state.history[-1].total
-        state.psi = psi_new
-        state.t = t_new
-        state.n += 1
-        state.tau_current = tau
-        row = _record_energy(state, params, Lhat, tau)
-
-        # written as ``not <=`` so that NaN counts as a violation
-        if check_energy and not (row.total <= g_prev + energy_budget):
-            state.energy_violations.append((state.t, g_prev, row.total))
-            _handle(
-                "energy",
-                params.energy_check,
-                f"energy grew from {g_prev!r} to {row.total!r} at t={state.t!r}",
-            )
-        if check_mbp and not (row.max_psi <= 1.0 + MBP_SLACK):
-            state.mbp_violations.append((state.t, row.max_psi))
-            _handle(
-                "mbp",
-                params.mbp_check,
-                f"nodal modulus reached {row.max_psi!r} > 1 at t={state.t!r}",
-            )
-        for name, value in (("A", state.A), ("psi", state.psi)):
-            if not np.isfinite(value).all():
-                raise NonFiniteStateError(f"{name} is not finite at t={state.t!r}")
-        emit_due()
+            # written as ``not <=`` so that NaN counts as a violation
+            if check_energy and not (row.total <= g_prev + energy_budget):
+                state.energy_violations.append((t_new, g_prev, row.total))
+                _handle("energy", params.energy_check,
+                        f"energy grew from {g_prev!r} to {row.total!r} at t={t_new!r}")
+            if check_mbp and not (row.max_psi <= 1.0 + MBP_SLACK):
+                state.mbp_violations.append((t_new, row.max_psi))
+                _handle("mbp", params.mbp_check,
+                        f"nodal modulus reached {row.max_psi!r} > 1 at t={t_new!r}")
+            for name, value in (("A", A_new), ("psi", psi_new)):
+                if not np.isfinite(value).all():
+                    raise NonFiniteStateError(f"{name} is not finite at t={t_new!r}")
+            state.A, state.psi, state.t, state.tau_current = A_new, psi_new, t_new, tau
+            state.n += 1
+            state.history.append(row)
+            state.recent.push(A_new)
+            emit_due()
+    except (ConvergenceError, EnergyViolationError, BoundViolationError, NonFiniteStateError) as exc:
+        exc.state = state  # the accepted steps, for the caller to keep
+        raise
 
     return state

@@ -121,6 +121,47 @@ def test_run_reports_nonfinite_state(tmp_path, capsys, monkeypatch):
     assert "solver error: psi is not finite at t=0.25" in capsys.readouterr().err
 
 
+def nan_psi(state, *args):
+    return np.full_like(state.psi, np.nan)
+
+
+def forced_nonconvergence(*args, **kwargs):
+    raise tdglfem.linalg.ConvergenceError("cg forced to fail", iterations=0, residual=1.0)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize(
+    "target, failing, checks, message",
+    [
+        ("cg_solve", forced_nonconvergence, "", "cg forced to fail"),
+        ("step_psi", nan_psi, "energy_check = abort\nmbp_check = off\n", "energy grew"),
+        ("step_psi", nan_psi, "energy_check = off\nmbp_check = abort\n", "nodal modulus"),
+        ("step_psi", nan_psi, "energy_check = off\nmbp_check = off\n", "psi is not finite"),
+    ],
+    ids=["convergence", "energy", "bound", "nonfinite"],
+)
+def test_failed_run_keeps_accepted_rows(tmp_path, capsys, monkeypatch, target, failing, checks,
+                                        message):
+    real = getattr(tdglfem.stepper, target)
+    calls = []
+
+    def third_fails(*args, **kwargs):
+        calls.append(None)
+        return (failing if len(calls) == 3 else real)(*args, **kwargs)
+
+    monkeypatch.setattr(tdglfem.stepper, target, third_fails)
+    out_dir = tmp_path / "r"
+    cfg = write_config(
+        tmp_path, f"scenario = lshape\nM = 2\nT = 1\ntau = 0.25\n{checks}out = {out_dir}\n"
+    )
+    assert main(["run", "--config", cfg]) == 3
+    assert f"solver error: {message}" in capsys.readouterr().err
+    lines = (out_dir / "series.csv").read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0, 0.25, 0.5]
+    assert not (out_dir / "final.vtk").exists()
+
+
 def test_run_rejects_bad_series_cadence_before_meshing(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a mesh was built")

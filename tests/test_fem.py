@@ -300,6 +300,21 @@ def unit_random_psi(mesh, rng):
 
 
 @MESH_FAMILIES
+def test_csr_pattern_matches_unique(mesh):
+    ops = fem._ops(mesh)
+    for local, n in ((mesh.cells, mesh.num_vertices), (ops.cell_dofs, num_edge_dofs(mesh))):
+        rows = np.repeat(local, local.shape[1], axis=1)
+        cols = np.tile(local, local.shape[1])
+        pattern = fem.CsrPattern(rows, cols, n)
+        ukeys, inv = np.unique(rows.ravel() * n + cols.ravel(), return_inverse=True)
+        np.testing.assert_array_equal(pattern._inv, inv)
+        np.testing.assert_array_equal(pattern.indices, ukeys % n)
+        np.testing.assert_array_equal(
+            pattern.indptr, np.searchsorted(ukeys, np.arange(n + 1) * n)
+        )
+
+
+@MESH_FAMILIES
 @pytest.mark.parametrize("kappa", [1.0, 1e3])
 def test_Lhat_matches_quadrature(mesh, rng, kappa):
     # the real part is the stiffness plus the |A|^2 mass (the mass dominates at a

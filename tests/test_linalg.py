@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdglfem import fem, linalg
 from tdglfem.fem import (
@@ -14,8 +16,10 @@ from tdglfem.fem import (
 )
 from tdglfem.linalg import (
     PHI1_SERIES_CUTOFF,
+    RECENT_LEVELS,
     CgResult,
     ConvergenceError,
+    RecentSpan,
     cg_solve,
     phi1,
     phi_apply,
@@ -104,6 +108,75 @@ def test_cg_exact_preconditioner_one_iteration(rng):
     inv = np.linalg.inv(A.toarray())
     res = cg_solve(A, rng.standard_normal(20), precond=lambda r: inv @ r)
     assert res.iterations == 1
+
+
+# -- start values from the recent solutions --------------------------------------
+
+#: long enough that sliding the window rotates ``Q`` in more than one column chunk
+SPAN_N = 2 * 4096 + 3
+
+#: what each push is: a fresh random vector of some scale, the zero vector, the
+#: previous push again, or a mix of earlier pushes whose new direction is tiny
+PUSHES = st.lists(
+    st.tuples(st.sampled_from(["random", "zero", "repeat", "near"]), st.integers(-14, 6)),
+    max_size=3 * RECENT_LEVELS,
+)
+
+
+def pushed_vectors(kinds, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for kind, e in kinds:
+        if kind == "zero":
+            v = np.zeros(SPAN_N)
+        elif kind == "repeat" and out:
+            v = out[-1].copy()
+        elif kind == "near" and out:
+            v = rng.standard_normal(len(out[-3:])) @ np.array(out[-3:])
+            noise = rng.standard_normal(SPAN_N) / math.sqrt(SPAN_N)
+            v += 10.0 ** min(e, -6) * np.linalg.norm(v) * noise
+        else:
+            v = 10.0**e * rng.standard_normal(SPAN_N)
+        out.append(v)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(PUSHES, st.integers(0, 2**32 - 1))
+def test_recent_span_rows_stay_orthonormal(kinds, seed):
+    rng = np.random.default_rng(seed)
+    S = sp.diags(rng.uniform(0.5, 2.0, SPAN_N))
+    b = rng.standard_normal(SPAN_N)
+    span = RecentSpan(SPAN_N)
+    for v in pushed_vectors(kinds, seed):
+        span.push(v)
+        Q = span.Q[: span.k]
+        assert span.k <= RECENT_LEVELS
+        assert np.abs(Q @ Q.T - np.eye(span.k)).max(initial=0.0) <= 1e-12
+        assert np.isfinite(span.start(S, b)).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3 * RECENT_LEVELS), st.integers(0, 2**32 - 1))
+def test_recent_span_spans_last_pushed(count, seed):
+    vectors = pushed_vectors([("random", 0)] * count, seed)
+    span = RecentSpan(SPAN_N)
+    for v in vectors:
+        span.push(v)
+    Q = span.Q[: span.k]
+    assert span.k == min(count, RECENT_LEVELS)
+    for v in vectors[-span.k :]:
+        assert np.linalg.norm(v - (Q @ v) @ Q) <= 1e-12 * np.linalg.norm(v)
+
+
+def test_recent_span_start_solves_within_span(rng):
+    A = random_spd(30, rng)
+    x = rng.standard_normal(30)
+    span = RecentSpan(30)
+    np.testing.assert_array_equal(span.start(A, A @ x), np.zeros(30))
+    for v in (rng.standard_normal(30), 2.0 * x):
+        span.push(v)
+    np.testing.assert_allclose(span.start(A, A @ x), x, rtol=0, atol=1e-12 * np.abs(x).max())
 
 
 def a_system(mesh, tau, rng):

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import tdglfem.stepper as stepper
 from tdglfem.diagnostics import EnergyBreakdown
 from tdglfem.fem import assemble_Lhat, lumped_mass, num_edge_dofs
+from tdglfem.linalg import RECENT_LEVELS
 from tdglfem.mesh import Mesh, generate_uniform_square
 from tdglfem.scenarios import lshape_mesh, manufactured_params, unit_square_mesh
 from tdglfem.stepper import (
@@ -463,26 +465,36 @@ def test_nonfinite_step_raises_at_once(square2, monkeypatch):
         run(square2, params)
 
 
+def energy_norm(S, x):
+    return math.sqrt(float(x @ (S @ x)))
+
+
 @pytest.mark.filterwarnings("ignore:mesh is weakly acute")
-def test_cg_starts_from_extrapolated_potential(monkeypatch):
+def test_cg_starts_from_galerkin_projection(monkeypatch):
     calls = []
     real = stepper.cg_solve
 
     def recording(matrix, rhs, **kw):
         result = real(matrix, rhs, **kw)
-        calls.append((np.array(kw["x0"]), result.x))
+        calls.append((matrix, rhs, np.array(kw["x0"]), result.x))
         return result
 
     monkeypatch.setattr(stepper, "cg_solve", recording)
     mesh = lshape_mesh(4)
-    params = quiet_params(kappa=3.0, T=1.0, H=2.0, tau=AdaptiveTau(alpha=10.0, tau_min=0.05))
+    params = quiet_params(kappa=3.0, T=2.0, H=2.0, tau=AdaptiveTau(alpha=10.0, tau_min=0.05))
     state = run(mesh, params)
     taus = [row.tau for row in state.history[1:]]
-    assert len(calls) == len(taus) >= 4 and len(set(taus)) > 2
-    np.testing.assert_array_equal(calls[0][0], np.zeros(num_edge_dofs(mesh)))
-    previous = [np.zeros(num_edge_dofs(mesh))] + [x for _, x in calls]
+    assert len(calls) == len(taus) > RECENT_LEVELS + 2 and len(set(taus)) > 2
+    np.testing.assert_array_equal(calls[0][2], np.zeros(num_edge_dofs(mesh)))
+    potentials = [x for *_, x in calls]
     for k in range(1, len(calls)):
-        A_n, A_prev = previous[k], previous[k - 1]
-        expected = A_n + (taus[k] / taus[k - 1]) * (A_n - A_prev)
-        atol = 1e-14 * np.abs(expected).max()
-        np.testing.assert_allclose(calls[k][0], expected, rtol=0, atol=atol)
+        S, b, x0, _ = calls[k]
+        # dense reference: the S-Galerkin projection onto the last min(k, 8) potentials
+        Q, _ = np.linalg.qr(np.array(potentials[max(0, k - RECENT_LEVELS) : k]).T)
+        want = Q @ np.linalg.solve(Q.T @ (S @ Q), Q.T @ b)
+        assert np.linalg.norm(x0 - want) <= 1e-12 * np.linalg.norm(want)
+        # never worse than the linear extrapolant of the last two potentials
+        A_n = potentials[k - 1]
+        extrapolant = A_n if k == 1 else A_n + (taus[k] / taus[k - 1]) * (A_n - potentials[k - 2])
+        exact = spla.spsolve(S.tocsc(), b)
+        assert energy_norm(S, x0 - exact) <= energy_norm(S, extrapolant - exact)
