@@ -16,22 +16,15 @@ K`` over the dofs at each vertex) where its cheaper iterations win: when
 tr(K) / tr(M)`` and ``bw`` the band width of the cell-space factor.
 
 The order-parameter step needs one action ``phi1(tau L) r`` per step, where
-``L = D^{-1} Lhat - mu I`` is similar to the Hermitian (negative definite)
-matrix ``S = D^{-1/2} Lhat D^{-1/2} - mu I``. The similarity is exploited:
-a Lanczos iteration on ``S`` with full reorthogonalization builds a small
-tridiagonal ``T``, ``phi1`` is evaluated on ``T`` by dense tridiagonal
-eigendecomposition, and a Saad-style generalized residual (last subdiagonal
-times the last entry of ``phi1(tau T) e1``) decides convergence. Each check
-costs an eigensolve, so checks run on a schedule: the first where the
-estimate becomes trustworthy, then after a failing check a jump to where
-``log`` of the estimate, extrapolated linearly through an earlier failing
-check with a larger estimate, meets the tolerance (at most a quarter of the
-dimension), and after a passing check the next dimension. Convergence needs
-passing estimates at two adjacent dimensions (or a breakdown), so the run
-never stops earlier than checking every dimension would; the estimate falls
-superlinearly past ``sqrt(tau rho)`` (Hochbruck & Lubich, SINUM 1997), which
-keeps the overshoot small. The tolerance and the dimension cap are the
-module constants ``KRYLOV_TOL`` and ``KRYLOV_MAX_DIM``.
+``L = D^{-1} Lhat - mu I`` is similar to the Hermitian matrix ``S = D^{-1/2}
+Lhat D^{-1/2} - mu I``. ``Lhat`` is negative semidefinite (its form is minus
+the covariant seminorm), so the spectrum of ``S`` lies in ``[-(g + mu), -mu]``,
+``g`` a Gershgorin radius. ``phi1(tau x)`` is entire, and its Chebyshev
+expansion on that interval, truncated where the dropped coefficients' moduli
+sum below the requested accuracy, bounds the error in the ``D``-norm a priori
+(Tal-Ezer & Kosloff, J. Chem. Phys. 1984). Clenshaw's recurrence evaluates it
+with one ``Lhat`` product per degree and three vectors; the degree depends only
+on ``tau (g + mu)`` and the accuracy, and grows like ``sqrt(tau (g + mu))``.
 
 Sign convention: ``phi1(a) = (1 - exp(a)) / a`` with ``phi1(0) = -1``, so
 ``exp(a) = 1 - a phi1(a)`` and the exponential Euler update
@@ -45,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "ConvergenceError",
@@ -54,8 +46,7 @@ __all__ = [
     "CG_TOL",
     "RECENT_LEVELS",
     "RecentSpan",
-    "KRYLOV_TOL",
-    "KRYLOV_MAX_DIM",
+    "PHI_TOL",
     "phi1",
     "phi_apply",
 ]
@@ -185,154 +176,83 @@ class RecentSpan:
 # phi functions
 
 
-#: below this magnitude phi1 switches to its Taylor series
-PHI1_SERIES_CUTOFF = 1e-5
-
-
 def phi1(a):
-    """``(1 - exp(a)) / a`` with the removable singularity filled by series.
+    """``(1 - exp(a)) / a``, evaluated as ``-expm1(a) / a`` with ``phi1(0) = -1``.
 
-    Note the sign: ``phi1(0) = -1`` and ``phi1(a) -> 0-`` as ``a -> -inf``.
+    Note the sign: ``phi1(a) -> 0-`` as ``a -> -inf``. ``expm1`` keeps the
+    relative error at rounding level for every ``a``, small ``|a|`` included.
     """
     a = np.asarray(a, dtype=float)
-    small = np.abs(a) < PHI1_SERIES_CUTOFF
-    safe = np.where(small, 1.0, a)
-    formula = (1.0 - np.exp(safe)) / safe
-    series = -(1.0 + a / 2.0 + a * a / 6.0 + a * a * a / 24.0)
-    out = np.where(small, series, formula)
+    zero = a == 0.0
+    out = np.where(zero, -1.0, -np.expm1(a) / np.where(zero, 1.0, a))
     return out if out.ndim else float(out)
 
 
-#: Lanczos stops once the generalized-residual estimate, relative to the
-#: input norm, is below this at two adjacent Krylov dimensions
-KRYLOV_TOL = 1e-12
-
-#: cap on the Krylov dimension of one phi action; the basis is always fully
-#: reorthogonalized, since the plain three-term recurrence loses
-#: orthogonality on stiff problems
-KRYLOV_MAX_DIM = 200
+#: a phi action is accurate to this fraction of the norm the caller scales ``atol`` by
+PHI_TOL = 1e-12
 
 
-def _phi_on_tridiag(alphas, betas, tau):
-    """``phi1(tau T) e1`` for the Lanczos tridiagonal ``T``."""
-    lam, q = eigh_tridiagonal(alphas, betas)
-    return q @ (phi1(tau * lam) * q[0, :])
+def _phi1_chebyshev(tau, lo, hi, tol):
+    """Chebyshev coefficients of ``phi1(tau x)`` on ``[lo, hi]``, dropped moduli summing ``<= tol / 2``.
 
-
-#: a jump between two residual checks spans at most ``m // CHECK_JUMP_DIVISOR``
-#: Krylov dimensions, ``m`` the dimension of the failing check
-CHECK_JUMP_DIVISOR = 4
-
-
-def _check_jump(failed, m, est, tol):
-    """Dimensions from a failing check at ``m`` to the next check.
-
-    ``log est`` is extrapolated linearly to ``log tol`` through the latest
-    earlier failing check with a larger estimate; without one the next check
-    is at ``m + 1``. The jump lies in ``[1, max(1, m // CHECK_JUMP_DIVISOR)]``.
+    ``phi1`` is sampled at ``N + 1`` Chebyshev-Lobatto points, ``N = 64, 128, ...``; the
+    type-1 DCT is the real FFT of the even extension. ``N`` doubles until the upper half's
+    tail of moduli is at most ``tol / 4``, or below ``sqrt(PHI_TOL)`` and no longer halving:
+    that tail is then the rounding floor, and the dropped moduli may sum to twice it.
     """
-    for m_prev, est_prev in reversed(failed):
-        if est_prev > est:
-            jump = math.ceil(
-                (math.log(est) - math.log(tol)) * (m - m_prev)
-                / (math.log(est_prev) - math.log(est))
-            )
-            return min(max(jump, 1), max(1, m // CHECK_JUMP_DIVISOR))
-    return 1
+    n, prev = 64, math.inf
+    while True:
+        x = np.cos(np.pi * np.arange(n + 1) / n)
+        f = phi1(tau * (0.5 * (hi + lo) + 0.5 * (hi - lo) * x))
+        a = np.fft.rfft(np.concatenate([f, f[-2:0:-1]])).real / n
+        a[[0, n]] /= 2.0
+        tails = np.cumsum(np.abs(a[::-1]))[::-1]
+        tail = tails[n // 2]
+        if tail <= tol / 4 or (tail < math.sqrt(PHI_TOL) and tail > prev / 2):
+            break
+        n, prev = 2 * n, tail
+    m = int(np.argmax(tails <= max(tol / 2, 2 * tail)))
+    return a[: max(m, 1)]
 
 
-def phi_apply(Lhat, d, mu, tau, v) -> np.ndarray:
-    """Krylov evaluation of ``phi1(tau (D^{-1} Lhat - mu I)) v``.
+def phi_apply(Lhat, d, mu, tau, v, *, atol) -> np.ndarray:
+    """``phi1(tau L) v`` for ``L = D^{-1} Lhat - mu I``, within ``atol`` in the ``D``-norm.
 
-    ``Lhat`` must be Hermitian (sparse or dense), ``d`` the positive lumped
-    weights, ``mu >= 0`` the stabilization shift and ``tau > 0`` the step.
-
-    The residual estimate is only consulted once the Krylov dimension passes
-    ``m_trust = ceil(sqrt(tau * rho)) + 2`` (``rho`` a Gershgorin radius of
-    the scaled operator) and has to pass at two adjacent dimensions. Below that
-    dimension the projected phi value can underflow to zero before any Ritz
-    value has reached the upper end of the spectrum, faking convergence with
-    an answer of zero. Past it, a failing check at ``m`` schedules the next
-    one :func:`_check_jump` dimensions later, a passing one at ``m + 1``; no
-    check is scheduled past ``KRYLOV_MAX_DIM - 1``, so the last two checks
-    under the cap are adjacent. The answer is the one of the last check.
-    Reaching the cap raises :class:`ConvergenceError` naming ``tau``, the
-    cap, the last estimate and ``m_trust``.
+    ``Lhat`` must be Hermitian and negative semidefinite (sparse or dense), ``d`` the
+    positive lumped weights, ``mu >= 0`` the stabilization shift and ``tau > 0`` the step.
+    ``L`` is then similar to a Hermitian matrix with its spectrum in ``[-(g + mu), -mu]``,
+    ``g`` the Gershgorin radius of ``D^{-1/2} Lhat D^{-1/2}``, so the Chebyshev expansion of
+    ``phi1(tau x)`` on that interval, truncated where the dropped coefficients' moduli sum to
+    at most ``atol / (2 ||v||_D)``, meets ``||result - phi1(tau L) v||_D <= atol``. Clenshaw's
+    recurrence evaluates it with one ``Lhat`` product per degree. Raises ``ValueError`` on a
+    non-finite ``v`` or ``Lhat``.
     """
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    if not mu >= 0:
-        raise ValueError("mu must be nonnegative")
-
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
+    if not 0 <= mu < math.inf:
+        raise ValueError("mu must be nonnegative and finite")
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ValueError("lumped weights must be strictly positive")
     v = np.asarray(v, dtype=complex)
-    n = len(v)
     dh = np.sqrt(d)
+    vnorm = math.sqrt(float(d @ np.abs(v) ** 2))
+    if not math.isfinite(vnorm):
+        raise ValueError("v is not finite")
+    g = float((abs(Lhat) @ (1.0 / dh) / dh).max())
+    if not math.isfinite(g):
+        raise ValueError("Lhat is not finite")
+    if not atol >= 0:
+        raise ValueError("atol must be nonnegative")
+    if vnorm == 0.0:
+        return np.zeros(len(v), dtype=complex)
+    if g == 0.0:
+        return phi1(-tau * mu) * v
 
-    w = dh * v
-    beta0 = float(np.linalg.norm(w))
-    if beta0 == 0.0:
-        return np.zeros(n, dtype=complex)
-
-    def s_matvec(x):
-        return (Lhat @ (x / dh)) / dh - mu * x
-
-    mdim = min(KRYLOV_MAX_DIM, n)
-    # basis vectors are rows, so only the rows in use are ever touched
-    V = np.empty((mdim, n), dtype=complex)
-    alphas = np.empty(mdim)
-    betas = np.empty(max(mdim - 1, 0))
-    V[0] = w / beta0
-
-    rho = tau * (float((abs(Lhat) @ (1.0 / dh) / dh).max()) + mu)
-    m_trust = min(mdim, math.ceil(math.sqrt(max(rho, 0.0))) + 2)
-
-    y = None
-    used = 0
-    est = math.inf
-    passed = False
-    failed = []  # (dimension, estimate) of every failing check so far
-    next_check = m_trust
-    converged = False
-    for m in range(mdim):
-        u = s_matvec(V[m])
-        if m > 0:
-            u -= betas[m - 1] * V[m - 1]
-        a = float(np.vdot(V[m], u).real)
-        u -= a * V[m]
-        alphas[m] = a
-        coeffs = (V[: m + 1] @ u.conj()).conj()
-        u -= coeffs @ V[: m + 1]
-        b = float(np.linalg.norm(u))
-        scale = max(1.0, float(np.abs(alphas[: m + 1]).max()))
-        breakdown = b <= 1e-14 * scale  # invariant subspace, result exact
-
-        if m + 1 == next_check or breakdown:
-            y = _phi_on_tridiag(alphas[: m + 1], betas[:m], tau)
-            used = m + 1
-            est = b * abs(y[-1])
-            # a passing check is always followed by one at the next
-            # dimension, so ``passed`` means the previous dimension passed
-            if breakdown or (est <= KRYLOV_TOL and passed):
-                converged = True
-                break
-            passed = est <= KRYLOV_TOL
-            jump = 1 if passed else _check_jump(failed, used, est, KRYLOV_TOL)
-            next_check = max(used + 1, min(used + jump, mdim - 1))
-            if not passed:
-                failed.append((used, est))
-        if m + 1 < mdim:
-            betas[m] = b
-            V[m + 1] = u / b
-
-    if not converged:
-        raise ConvergenceError(
-            f"phi_apply did not converge at tau={tau!r} within the Krylov dimension "
-            f"cap {mdim}: last residual estimate {est:.3e} (tolerance {KRYLOV_TOL:g}), "
-            f"estimates trusted from dimension m_trust={m_trust}",
-            iterations=mdim,
-            residual=float(est),
-        )
-    return ((beta0 * y) @ V[:used]) / dh
+    a = _phi1_chebyshev(tau, -(g + mu), -mu, atol / vnorm)
+    # X = I + (2 / g) D^{-1} Lhat is L with [-(g + mu), -mu] mapped onto [-1, 1]
+    scale = 2.0 / (g * d)
+    b1, b2 = np.zeros_like(v), np.zeros_like(v)
+    for ak in a[:0:-1]:
+        b1, b2 = 2.0 * (b1 + scale * (Lhat @ b1)) - b2 + ak * v, b1
+    return a[0] * v + b1 + scale * (Lhat @ b1) - b2

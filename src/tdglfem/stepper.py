@@ -11,7 +11,7 @@ in two substeps that never couple implicitly:
    ``L = D^{-1} Lhat(A_new) - mu I`` and ``F = (1 - |psi|^2) psi + mu psi
    + forcing``, the first-order ETD update ``psi_new = exp(tau L) psi -
    tau phi1(tau L) F`` is evaluated as ``psi_new = psi - tau phi1(tau L) r``
-   with ``phi1(a) = (1 - exp(a))/a``, one Krylov action per step. The
+   with ``phi1(a) = (1 - exp(a))/a``, one Chebyshev action per step. The
    residual ``r = L psi + F = D^{-1} Lhat psi + (1 - |psi|^2) psi + forcing``
    does not depend on ``mu``. At the ground state (``psi = 1``, ``A = 0``)
    ``r`` vanishes up to the rounding of ``Lhat`` applied to a constant, so
@@ -47,7 +47,7 @@ import numpy as np
 
 from . import fem
 from .diagnostics import EnergyBreakdown, discrete_energy, mbp_stats
-from .linalg import ConvergenceError, RecentSpan, cg_solve, phi_apply
+from .linalg import PHI_TOL, ConvergenceError, RecentSpan, cg_solve, phi_apply
 from .mesh import Mesh, audit_mesh
 
 __all__ = [
@@ -344,7 +344,9 @@ def step_psi(state: SimulationState, params: SchemeParams, A_new, Lhat, tau: flo
     must be the potential already advanced to the new level and ``Lhat``
     its :func:`fem.assemble_Lhat`. Returns ``psi - tau phi1(tau L) r`` with
     the ``mu``-free residual ``r = D^{-1} Lhat psi + (1 - |psi|^2) psi +
-    forcing``.
+    forcing``. The action is asked for ``PHI_TOL min(||r||_D, ||psi||_D / tau)``
+    in the ``D``-norm, so the step errs by at most ``PHI_TOL ||psi||_D``, and by
+    no more than a target relative to ``r`` alone would allow.
     """
     mesh = state.mesh
     d = fem.lumped_mass(mesh)
@@ -354,7 +356,8 @@ def step_psi(state: SimulationState, params: SchemeParams, A_new, Lhat, tau: flo
     if params.forcing_psi is not None:
         x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
         r = r + np.asarray(params.forcing_psi(x, y, state.t), dtype=complex)
-    return psi - tau * phi_apply(Lhat, d, mu, tau, r)
+    r_norm, psi_norm = (math.sqrt(d @ np.abs(x) ** 2) for x in (r, psi))
+    return psi - tau * phi_apply(Lhat, d, mu, tau, r, atol=PHI_TOL * min(r_norm, psi_norm / tau))
 
 
 def adaptive_tau(step_energies, tau_prev: float, policy: AdaptiveTau) -> float:

@@ -15,7 +15,7 @@ from tdglfem.fem import (
     num_edge_dofs,
 )
 from tdglfem.linalg import (
-    PHI1_SERIES_CUTOFF,
+    PHI_TOL,
     RECENT_LEVELS,
     CgResult,
     ConvergenceError,
@@ -34,10 +34,9 @@ def random_spd(n, rng):
     return sp.csr_matrix(B @ B.T + n * np.eye(n))
 
 
-def random_hermitian(n, rng, scale=1.0):
+def random_hermitian(n, rng):
     B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    H = (B + B.conj().T) / 2
-    return sp.csr_matrix(scale * H)
+    return sp.csr_matrix((B + B.conj().T) / 2)
 
 
 # -- conjugate gradient --------------------------------------------------------
@@ -244,17 +243,10 @@ def test_phi1_reference_values():
     assert phi1(2.0) == pytest.approx((1 - math.exp(2.0)) / 2.0, rel=1e-15)
 
 
-def test_phi1_series_continuity():
-    # formula and series branches must agree through the switchover
-    below = PHI1_SERIES_CUTOFF * 0.99
-    above = PHI1_SERIES_CUTOFF * 1.01
-    for a in (below, -below, above, -above):
-        direct = (1 - math.exp(a)) / a
-        assert phi1(a) == pytest.approx(direct, rel=1e-11)
-    # change across the switchover is the smooth slope (-1/2); the direct
-    # branch carries ~eps/a cancellation noise, so allow that much
-    step = phi1(above) - phi1(below)
-    assert step == pytest.approx(-0.5 * (above - below), abs=5e-11)
+def test_phi1_matches_expm1():
+    for a in np.geomspace(1e-12, 50.0, 200):
+        for x in (a, -a):
+            assert phi1(x) == pytest.approx(-math.expm1(x) / x, rel=1e-15, abs=0.0)
 
 
 def test_phi1_vectorized():
@@ -265,107 +257,90 @@ def test_phi1_vectorized():
     assert vals[2] == pytest.approx(-1.0, abs=1e-8)
 
 
-# -- Krylov phi application ----------------------------------------------------
+# -- Chebyshev phi application ------------------------------------------------
+
+
+def d_norm(d, x):
+    return math.sqrt(float(d @ np.abs(x) ** 2))
 
 
 @pytest.mark.parametrize("tau", [0.02, 0.2, 1.0])
 def test_phi_apply_matches_oracle(rng, tau):
     n = 60
-    Lhat = random_hermitian(n, rng)
+    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Lhat = sp.csr_matrix(-(B @ B.conj().T) / n)
     d = rng.uniform(0.5, 2.0, n)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    got = phi_apply(Lhat, d, 2.0, tau, v)
+    got = phi_apply(Lhat, d, 2.0, tau, v, atol=PHI_TOL * d_norm(d, v))
     want = dense_phi_oracle(Lhat, d, 2.0, tau, v, "phi1")
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
-def square_phi_problem(M, rng):
+def square_phi_problem(M, rng, scale=1.0):
     """``Lhat`` for a random potential on the unit square, ``kappa = 1``."""
     mesh = unit_square_mesh(M)
-    Lhat = assemble_Lhat(mesh, rng.standard_normal(num_edge_dofs(mesh)), 1.0)
+    Lhat = assemble_Lhat(mesh, scale * rng.standard_normal(num_edge_dofs(mesh)), 1.0)
     v = rng.standard_normal(mesh.num_vertices) + 1j * rng.standard_normal(mesh.num_vertices)
     return Lhat, lumped_mass(mesh), v
 
 
-@pytest.fixture
-def eigensolve_dims(monkeypatch):
-    """Krylov dimension of every tridiagonal eigensolve ``phi_apply`` runs."""
-    dims = []
-    inner = linalg._phi_on_tridiag
-
-    def counting(alphas, betas, tau):
-        dims.append(len(alphas))
-        return inner(alphas, betas, tau)
-
-    monkeypatch.setattr(linalg, "_phi_on_tridiag", counting)
-    return dims
-
-
 @pytest.mark.parametrize("M", [16, 20])
 @pytest.mark.parametrize("tau", ["1/M", 0.2, 1.0])
-def test_phi_apply_matches_oracle_at_large_dimension(rng, eigensolve_dims, M, tau):
-    # Krylov dimensions of about 60 to 140, where the check schedule skips
+def test_phi_apply_matches_oracle_at_large_dimension(rng, M, tau):
     tau = 1.0 / M if tau == "1/M" else tau
     Lhat, d, v = square_phi_problem(M, rng)
-    got = phi_apply(Lhat, d, 2.0, tau, v)
+    got = phi_apply(Lhat, d, 2.0, tau, v, atol=PHI_TOL * d_norm(d, v))
     want = dense_phi_oracle(Lhat, d, 2.0, tau, v, "phi1")
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
-    assert eigensolve_dims[-1] >= 50
-    assert len(eigensolve_dims) < eigensolve_dims[-1] - eigensolve_dims[0]
 
 
-def test_phi_apply_check_count(rng, eigensolve_dims):
-    Lhat, d, v = square_phi_problem(32, rng)
-    phi_apply(Lhat, d, 2.0, 1.0 / 32, v)
-    assert len(eigensolve_dims) <= 14
+@pytest.mark.parametrize("scale", [0.0, 1.0, 10.0, 100.0])
+@pytest.mark.parametrize("tau", [1e-9, 1e-5, 1e-3, 0.2, 1.0, 10.0])
+def test_phi_apply_meets_a_priori_bound(rng, tau, scale):
+    # tau g from about 1e-6 to 1e6; the a-priori bound holds in the D-norm
+    Lhat, d, v = square_phi_problem(16, rng, scale)
+    want = dense_phi_oracle(Lhat, d, 2.0, tau, v, "phi1")
+    atol = PHI_TOL * d_norm(d, v)
+    assert d_norm(d, phi_apply(Lhat, d, 2.0, tau, v, atol=atol) - want) <= atol
+    # a zero target stops at the rounding floor
+    assert d_norm(d, phi_apply(Lhat, d, 2.0, tau, v, atol=0.0) - want) <= atol
 
 
-def test_phi_apply_single_spurious_pass(rng, monkeypatch, eigensolve_dims):
-    # a zero last component fakes a passing estimate at one checked dimension;
-    # the adjacent-pair rule must not stop there
-    Lhat, d, v = square_phi_problem(16, rng)
-    want = phi_apply(Lhat, d, 2.0, 1.0 / 16, v)
-    checked = list(eigensolve_dims)
-    assert len(checked) >= 6
-    counting = linalg._phi_on_tridiag
-    for k in checked[:-2]:
-        def faking(alphas, betas, tau, k=k):
-            y = counting(alphas, betas, tau)
-            if len(alphas) == k:
-                y[-1] = 0.0
-            return y
-
-        monkeypatch.setattr(linalg, "_phi_on_tridiag", faking)
-        got = phi_apply(Lhat, d, 2.0, 1.0 / 16, v)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-
-
-def test_phi_apply_dimension_cap(rng, monkeypatch, eigensolve_dims):
-    Lhat, d, v = square_phi_problem(16, rng)
-    want = phi_apply(Lhat, d, 2.0, 0.2, v)
-    m0 = eigensolve_dims[-1]
-    assert m0 < linalg.KRYLOV_MAX_DIM
-    # capped at its own converged dimension, a call still converges
-    monkeypatch.setattr(linalg, "KRYLOV_MAX_DIM", m0)
-    got = phi_apply(Lhat, d, 2.0, 0.2, v)
-    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
-    # capped well below it, the last two checks are the adjacent pair at the cap
-    eigensolve_dims.clear()
-    monkeypatch.setattr(linalg, "KRYLOV_MAX_DIM", m0 // 2)
-    with pytest.raises(ConvergenceError):
-        phi_apply(Lhat, d, 2.0, 0.2, v)
-    assert eigensolve_dims[-2:] == [m0 // 2 - 1, m0 // 2]
-    assert len(eigensolve_dims) < m0 // 4
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    mesh=st.sampled_from([unit_square_mesh(2), unit_square_mesh(5), lshape_mesh(2), lshape_mesh(4)]),
+    kappa=st.floats(0.5, 10.0),
+    scale=st.floats(0.0, 20.0),
+    mu=st.floats(0.0, 50.0),
+    log_tau=st.floats(-9.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_phi_apply_a_priori_bound_property(mesh, kappa, scale, mu, log_tau, seed):
+    rng = np.random.default_rng(seed)
+    Lhat = assemble_Lhat(mesh, scale * rng.standard_normal(num_edge_dofs(mesh)), kappa)
+    d = lumped_mass(mesh)
+    v = rng.standard_normal(mesh.num_vertices) + 1j * rng.standard_normal(mesh.num_vertices)
+    tau = 10.0**log_tau
+    atol = PHI_TOL * d_norm(d, v)
+    err = phi_apply(Lhat, d, mu, tau, v, atol=atol) - dense_phi_oracle(Lhat, d, mu, tau, v, "phi1")
+    assert d_norm(d, err) <= atol
 
 
 def test_phi_apply_zero_vector(rng):
     Lhat = random_hermitian(8, rng)
-    out = phi_apply(Lhat, np.ones(8), 2.0, 0.1, np.zeros(8, dtype=complex))
+    out = phi_apply(Lhat, np.ones(8), 2.0, 0.1, np.zeros(8, dtype=complex), atol=0.0)
     np.testing.assert_array_equal(out, 0.0)
 
 
+def test_phi_apply_zero_operator(rng):
+    # g = 0: L = -mu I, no expansion
+    v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    out = phi_apply(sp.csr_matrix((8, 8), dtype=complex), np.ones(8), 2.0, 0.1, v, atol=0.0)
+    np.testing.assert_array_equal(out, phi1(-0.2) * v)
+
+
 def test_phi_apply_eigenvector_happy_breakdown(rng):
-    # v an exact eigenvector: one Lanczos step suffices; scalar answer known
+    # v an eigenvector of L: the scalar answer is known
     n = 12
     d = np.ones(n)
     lam = -3.0
@@ -373,28 +348,12 @@ def test_phi_apply_eigenvector_happy_breakdown(rng):
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     mu, tau = 2.0, 0.3
     a = tau * (lam - mu)
-    out = phi_apply(Lhat, d, mu, tau, v)
-    np.testing.assert_allclose(out, (1 - math.exp(a)) / a * v, rtol=1e-13)
+    atol = PHI_TOL * d_norm(d, v)
+    out = phi_apply(Lhat, d, mu, tau, v, atol=atol)
+    assert d_norm(d, out - (1 - math.exp(a)) / a * v) <= atol
     # the exponential Euler identity exp(a) = 1 - a phi1(a)
-    np.testing.assert_allclose(v - tau * phi_apply(Lhat, d, mu, tau, (lam - mu) * v),
-                               math.exp(a) * v, rtol=1e-13)
-
-
-def test_phi_apply_respects_max_dim(rng, monkeypatch):
-    n = 80
-    Lhat = random_hermitian(n, rng, scale=50.0)
-    d = rng.uniform(0.5, 2.0, n)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    monkeypatch.setattr(linalg, "KRYLOV_MAX_DIM", 3)
-    with pytest.raises(ConvergenceError) as err:
-        phi_apply(Lhat, d, 0.0, 1.0, v)
-    # the message names the step, the cap, the last estimate and m_trust
-    message = str(err.value)
-    assert "tau=1.0 within the Krylov dimension cap 3" in message
-    assert f"last residual estimate {err.value.residual:.3e}" in message
-    assert err.value.residual > linalg.KRYLOV_TOL
-    assert "m_trust=3" in message
-    assert err.value.iterations == 3
+    out = v - tau * phi_apply(Lhat, d, mu, tau, (lam - mu) * v, atol=atol / tau)
+    assert d_norm(d, out - math.exp(a) * v) <= atol
 
 
 @pytest.mark.parametrize(
@@ -404,14 +363,32 @@ def test_phi_apply_respects_max_dim(rng, monkeypatch):
         {"tau": -0.1},
         {"mu": -1.0},
         {"mu": math.nan},
+        {"tau": math.inf},
+        {"mu": math.inf},
+        {"atol": -1.0},
+        {"atol": math.nan},
     ],
 )
 def test_phi_apply_validation(rng, kwargs):
     Lhat = random_hermitian(6, rng)
-    base = dict(d=np.ones(6), mu=2.0, tau=0.1, v=np.ones(6, dtype=complex))
+    base = dict(d=np.ones(6), mu=2.0, tau=0.1, v=np.ones(6, dtype=complex), atol=0.0)
     base.update(kwargs)
     with pytest.raises(ValueError):
-        phi_apply(Lhat, base["d"], base["mu"], base["tau"], base["v"])
+        phi_apply(Lhat, base["d"], base["mu"], base["tau"], base["v"], atol=base["atol"])
+
+
+@pytest.mark.parametrize("where", ["v", "Lhat"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_phi_apply_rejects_nonfinite_input(rng, where, bad):
+    Lhat, d, v = square_phi_problem(4, rng)
+    if where == "v":
+        v[3] = bad
+    else:
+        Lhat = Lhat.tolil()
+        Lhat[3, 3] = bad
+        Lhat = Lhat.tocsr()
+    with pytest.raises(ValueError, match=f"{where} is not finite"):
+        phi_apply(Lhat, d, 2.0, 0.1, v, atol=PHI_TOL * d_norm(d, v))
 
 
 def test_phi_apply_rejects_nonpositive_mass(rng):
@@ -419,7 +396,7 @@ def test_phi_apply_rejects_nonpositive_mass(rng):
     d = np.ones(6)
     d[3] = 0.0
     with pytest.raises(ValueError):
-        phi_apply(Lhat, d, 2.0, 0.1, np.ones(6, dtype=complex))
+        phi_apply(Lhat, d, 2.0, 0.1, np.ones(6, dtype=complex), atol=0.0)
 
 
 def test_dense_oracle_size_cap(rng):

@@ -284,8 +284,9 @@ def two_action_step(state, params, A_new, tau):
     Lhat = assemble_Lhat(mesh, A_new, params.kappa)
     d = lumped_mass(mesh)
     mu = stepper._mu_for(mesh, A_new, params)
-    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
-    F = (1.0 + mu - np.abs(psi) ** 2) * psi + params.forcing_psi(x, y, state.t)
+    F = (1.0 + mu - np.abs(psi) ** 2) * psi
+    if params.forcing_psi is not None:
+        F = F + params.forcing_psi(mesh.vertices[:, 0], mesh.vertices[:, 1], state.t)
     return (dense_phi_oracle(Lhat, d, mu, tau, psi, "phi0")
             - tau * dense_phi_oracle(Lhat, d, mu, tau, F, "phi1"))
 
@@ -301,6 +302,24 @@ def test_step_psi_matches_dense_two_action_step(mesh, tau):
     got = step_psi(state, params, A_new, assemble_Lhat(mesh, A_new, params.kappa), tau)
     want = two_action_step(state, params, A_new, tau)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("M", [16, 20])
+@pytest.mark.parametrize("tau", ["1/M", 0.2, 1.0])
+def test_step_psi_error_relative_to_psi_on_rough_state(M, tau):
+    # the phi action's target scales with ||psi|| / tau as well as ||r||, so a
+    # rough state, where tau ||r|| far exceeds ||psi||, loses no accuracy
+    tau = 1.0 / M if tau == "1/M" else tau
+    rng = np.random.default_rng(11)
+    mesh = unit_square_mesh(M)
+    n = mesh.num_vertices
+    A = rng.standard_normal(num_edge_dofs(mesh))
+    psi = rng.uniform(0.0, 1.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    params = quiet_params(mu="auto")
+    state = stepper.SimulationState(mesh=mesh, A=A, psi=psi)
+    got = step_psi(state, params, A, assemble_Lhat(mesh, A, params.kappa), tau)
+    want = two_action_step(state, params, A, tau)
+    assert np.linalg.norm(got - want) <= 2e-12 * np.linalg.norm(want)
 
 
 def test_run_takes_one_phi_action_per_step(square4, monkeypatch):
