@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_conv = sub.add_parser("convergence", help="refinement study, manufactured solution")
-    p_conv.add_argument("--config", help="optional config (kappa/sigma/T overrides)")
+    p_conv.add_argument("--config", help="optional manufactured config, applied to every level")
     p_conv.add_argument(
         "--resolutions", default="8,16,32,64", help="comma-separated subdivisions per unit"
     )
@@ -144,20 +144,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    from .config import ConfigError
+    from .config import ConfigError, RunConfig
     from .output import ensure_dir, write_convergence_csv
-    from .scenarios import manufactured_params, run_manufactured_convergence
+    from .scenarios import run_manufactured_convergence
 
-    kappa, sigma, T = 1.0, 1.0, 1.0
-    out = args.out
-    if args.config:
-        cfg = _read_config(args.config)
-        if cfg.scenario != "manufactured":
-            raise ConfigError("convergence study requires scenario = manufactured")
-        kappa = cfg.kappa if cfg.kappa is not None else kappa
-        sigma = cfg.sigma if cfg.sigma is not None else sigma
-        T = cfg.T if cfg.T is not None else T
-        out = out or cfg.out
+    cfg = _read_config(args.config) if args.config else RunConfig(scenario="manufactured")
     try:
         resolutions = [int(tok) for tok in args.resolutions.split(",")]
     except ValueError:
@@ -168,13 +159,8 @@ def _cmd_convergence(args) -> int:
         raise ConfigError(
             f"resolutions must start at 1 or more and double each time, got {args.resolutions!r}"
         )
-    for m in resolutions:
-        try:
-            manufactured_params(kappa, sigma, T, 1.0 / m)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
-    reports, rates = run_manufactured_convergence(resolutions, kappa, sigma, T)
+    reports, rates = run_manufactured_convergence(resolutions, cfg)
 
     header = f"{'1/h':>6} {'err A':>12} {'rate':>6} {'err curlA':>12} {'rate':>6} " \
              f"{'err psi':>12} {'rate':>6} {'err gradpsi':>12} {'rate':>6}"
@@ -186,6 +172,7 @@ def _cmd_convergence(args) -> int:
             cells.append(f"{rates[name][k - 1]:>6.2f}" if k else f"{'':>6}")
         print(" ".join(cells))
 
+    out = args.out or cfg.out
     if out:
         out_dir = ensure_dir(out)
         path = os.path.join(out_dir, "convergence.csv")

@@ -31,14 +31,19 @@ are built once per mesh and cached (keyed on mesh identity).
 
 The edge-space solves (the vector-potential step and the Ritz projection)
 are preconditioned with ``P_c = c diag(M) + K``. The curl-curl matrix
-``K = C^T D C`` has rank at most ``n_cells`` (``C`` holds the per-cell curl
-rows, ``D`` the cell areas), so the Woodbury identity reduces ``P_c^{-1}``
-to one SPD solve with ``G_c = D^{-1} + (1/c) C diag(M)^{-1} C^T`` on the
-cells. ``G_c`` couples only cells that share an edge; numbered by
-Cuthill-McKee it is banded and is factored with LAPACK's banded Cholesky.
-Where a cost rule finds them too dear, vertex-block Jacobi is used: the
-blocks of ``c M + K`` over the dofs at each vertex (each dof sits at one),
-inverted once per ``c`` into one block-diagonal CSR matrix.
+``K = C^T D C`` has rank at most ``n_cells`` (``C`` is the sparse matrix of
+per-cell curls, ``D`` the cell areas), so the Woodbury identity reduces
+``P_c^{-1}`` to one SPD solve with ``G_c = D^{-1} + (1/c) C diag(M)^{-1}
+C^T`` on the cells. The product ``C diag(M)^{-1} C^T`` is formed once, as
+a sparse matrix: it couples only cells that share an edge, its pattern
+numbers the cells by Cuthill-McKee, and its permuted lower triangle over
+``c``, plus ``D^{-1}`` on the diagonal, is the band that LAPACK's banded
+Cholesky factors once per ``c``. Applying ``P_c^{-1}`` is then two
+products with the permuted ``C`` around one banded solve. Where a cost
+rule finds them too dear, vertex-block Jacobi is used: the entries of
+``c M + K`` whose two dofs sit at one vertex (each dof sits at one), read
+off the edge CSR pattern and inverted once per ``c`` into one
+block-diagonal CSR matrix.
 """
 
 from __future__ import annotations
@@ -138,7 +143,6 @@ class _MeshOps:
         # arrays only: a reference to the mesh would keep it alive as a cache key
         cells = mesh.cells
         self.corner_vertices = np.ascontiguousarray(cells.T)  # (3, nc)
-        self.cell_edges = mesh.cell_edges
         nc = mesh.num_cells
         p = mesh.vertices[cells]  # (nc, 3, 2)
         self.area = np.asarray(mesh.cell_areas)
@@ -174,7 +178,6 @@ class _MeshOps:
         dofs = np.empty((nc, 6), dtype=np.int64)
         dofs[:, 0::2] = 2 * eid
         dofs[:, 1::2] = 2 * eid + 1
-        self.cell_dofs = dofs
 
         # each local dof sits at one corner: ``at[v]`` holds the two local dofs at
         # corner v, (3, 2, nc), and the field's vector there is
@@ -203,10 +206,10 @@ class _MeshOps:
 
         # curl is constant per cell: sum_v grad(lam_v) x (corner vector v)
         gx, gy = self.grads[:, :, None]
-        self.curl_coeff = np.empty((nc, 6))
-        self.curl_coeff[cell, at] = gx * dual[1] - gy * dual[0]
+        curl_coeff = np.empty((nc, 6))
+        curl_coeff[cell, at] = gx * dual[1] - gy * dual[0]
         self.curl = sp.csr_matrix(
-            (self.curl_coeff.ravel(), dofs.ravel(), np.arange(0, 6 * nc + 1, 6)), shape=(nc, n)
+            (curl_coeff.ravel(), dofs.ravel(), np.arange(0, 6 * nc + 1, 6)), shape=(nc, n)
         )
 
         self.dof_vertex = mesh.edges.ravel()  # dof 2e sits at edges[e, 0], 2e+1 at edges[e, 1]
@@ -228,11 +231,7 @@ class _MeshOps:
         )
         self._edge_mass_data = self._mass_scatter @ np.repeat(_M2.ravel(), nc)
         self.mass = self.edge_pattern.csr_from_data(self._edge_mass_data)
-        curl_local = (
-            self.area[:, None, None]
-            * self.curl_coeff[:, :, None]
-            * self.curl_coeff[:, None, :]
-        )
+        curl_local = self.area[:, None, None] * curl_coeff[:, :, None] * curl_coeff[:, None, :]
         self._curl_data = self.edge_pattern.sum_duplicates(curl_local)
 
     # -- per-cell evaluation ---------------------------------------------------
@@ -266,13 +265,6 @@ class _MeshOps:
         curl_trace = self.edge_pattern.csr_from_data(self._curl_data).diagonal().sum()
         return float(curl_trace / self._mass_diag.sum())
 
-    @cached_property
-    def _cell_numbering(self):
-        """Cuthill-McKee position of every cell, and the bandwidth of ``G_c``."""
-        a, b, *_ = _shared_edges(self.cell_edges)
-        pos = _cuthill_mckee(len(self.area), a, b)
-        return pos, int(np.abs(pos[a] - pos[b]).max(initial=0))
-
     def cell_space_pays(self, s: float) -> bool:
         """Whether the cell-space solve beats Jacobi on ``s M + K (+ M_w)``.
 
@@ -282,51 +274,54 @@ class _MeshOps:
         triangular solves against one matrix product).
         """
         rho = self._curl_mass_trace_ratio / s
-        bw = self._cell_numbering[1]
+        bw = self._cell_band[-1]
         work = 1.0 + 4.0 * len(self.area) * (bw + 1) / self.edge_pattern.nnz
         return math.sqrt(1.0 + rho) > work
 
     @cached_property
     def _cell_band(self):
-        """Cells in Cuthill-McKee order, and ``C diag(M)^{-1} C^T`` in band layout."""
-        pos, bw = self._cell_numbering
+        """The cells in Cuthill-McKee order, their ``1/area`` in that order, and
+        the lower band of ``C diag(M)^{-1} C^T`` in that order: LAPACK band
+        positions, values and the band width."""
+        coupling = (self.curl @ sp.diags(1.0 / self._mass_diag) @ self.curl.T).tocsr()
+        pos = _cuthill_mckee(coupling)
+        coupling = coupling.tocoo()
+        row, col = pos[coupling.row], pos[coupling.col]
+        lower = row >= col
+        band_index = (row[lower] - col[lower], col[lower])
         order = np.argsort(pos)
-        coeff, dofs = self.curl_coeff[order], self.cell_dofs[order]
-        inv_m = 1.0 / self._mass_diag
-        diag = np.einsum("ci,ci->c", coeff * coeff, inv_m[dofs])
-        a, b, e, la, lb = _shared_edges(self.cell_edges)
-        off = sum(
-            self.curl_coeff[a, 2 * la + k] * self.curl_coeff[b, 2 * lb + k] * inv_m[2 * e + k]
-            for k in (0, 1)
-        )
-        pa, pb = pos[a], pos[b]
-        band_index = (np.abs(pa - pb), np.minimum(pa, pb))
-        return coeff, dofs, 1.0 / self.area[order], diag, off, band_index, bw
+        bw = int(band_index[0].max(initial=0))
+        return order, 1.0 / self.area[order], band_index, coupling.data[lower], bw
+
+    @cached_property
+    def _cell_curl(self):
+        """The curl matrix with its rows in Cuthill-McKee order, and its transpose.
+        Kept apart from ``_cell_band``, which the cost rule builds on every mesh,
+        so that a mesh on the vertex-block path never holds it."""
+        curl = self.curl[self._cell_band[0]]
+        return curl, curl.T
 
     def cell_space_preconditioner(self, c: float):
         """``r -> P_c^{-1} r`` for ``P_c = c diag(M) + K``, through ``G_c``.
 
         The banded factor of the latest ``c`` is kept; another ``c`` refactors.
         """
-        coeff, dofs, inv_area, diag, off, band_index, bw = self._cell_band
+        _, inv_area, band_index, band, bw = self._cell_band
         if self._cell_factor is None or self._cell_factor[0] != c:
             ab = np.zeros((bw + 1, len(inv_area)))
-            ab[0] = inv_area + diag / c
-            ab[band_index] = off / c
+            ab[band_index] = band / c
+            ab[0] += inv_area
             factor, info = _pbtrf(ab, lower=1, overwrite_ab=1)
             if info != 0:
                 raise np.linalg.LinAlgError(f"banded Cholesky of G_c failed (info={info})")
             self._cell_factor = (c, factor)
         factor = self._cell_factor[1]
         inv_cm = 1.0 / (c * self._mass_diag)
-        n = self.n_edge_dofs
-        flat_dofs = dofs.ravel()
+        curl, curl_t = self._cell_curl
 
         def apply(r):
-            y = r * inv_cm
-            w, _ = _pbtrs(factor, np.einsum("ci,ci->c", coeff, y[dofs]), lower=1)
-            back = np.bincount(flat_dofs, weights=(coeff * w[:, None]).ravel(), minlength=n)
-            return (r - back) * inv_cm
+            w, _ = _pbtrs(factor, curl @ (r * inv_cm), lower=1)
+            return (r - curl_t @ w) * inv_cm
 
         return apply
 
@@ -344,11 +339,10 @@ class _MeshOps:
         slot[order] = np.arange(n) - start[vertex[order]]
         b = int(count.max())
 
-        at = vertex[self.cell_dofs]
-        same = at[:, :, None] == at[:, None, :]  # local dof pairs at one corner
-        rows = np.broadcast_to(self.cell_dofs[:, :, None], same.shape)[same]
-        cols = np.broadcast_to(self.cell_dofs[:, None, :], same.shape)[same]
-        pos = self.edge_pattern._inv.reshape(same.shape)[same].astype(np.int32)
+        pattern = self.edge_pattern
+        rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+        pos = np.flatnonzero(vertex[rows] == vertex[pattern.indices])
+        rows, cols = rows[pos], pattern.indices[pos]
         fill = ((vertex[rows] * b + slot[rows]) * b + slot[cols]).astype(np.int32)
 
         indptr = np.zeros(n + 1, dtype=np.int32)
@@ -385,59 +379,48 @@ class _MeshOps:
 _pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"))
 
 
-def _shared_edges(cell_edges):
-    """Cell pairs ``(a, b)`` sharing edge ``e``, and its local index in each."""
-    flat = cell_edges.ravel()
-    order = np.argsort(flat, kind="stable")
-    e = flat[order]
-    pair = np.flatnonzero(e[1:] == e[:-1])
-    first, second = order[pair], order[pair + 1]
-    return first // 3, second // 3, e[pair], first % 3, second % 3
-
-
-def _cuthill_mckee(n: int, a, b) -> np.ndarray:
-    """Cuthill-McKee position of each node of the graph with edges ``(a, b)``.
+def _cuthill_mckee(graph: sp.csr_matrix) -> np.ndarray:
+    """Cuthill-McKee position of each node of a symmetric CSR adjacency.
 
     Each connected part is numbered breadth first from a pseudo-peripheral
     node (the last node reached from a minimum-degree start). The nodes of
     a level follow their earliest-numbered neighbour in the level before,
-    then increasing degree, then index.
+    then increasing degree, then index. A self-loop at every node, as on a
+    matrix's diagonal, raises each degree by one and leaves the numbering as
+    it is.
     """
-    src = np.concatenate([a, b])
-    dst = np.concatenate([b, a])
-    by_src = np.argsort(src, kind="stable")
-    nbrs = dst[by_src]
-    degree = np.bincount(src, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degree, out=indptr[1:])
+    degree = np.diff(graph.indptr)
+    n, width = len(degree), int(degree.max(initial=0))
+    # neighbours as table rows, padded with the extra node n, which counts as numbered
+    table = np.full((n, width), n)
+    row = np.repeat(np.arange(n), degree)
+    table[row, np.arange(len(row)) - graph.indptr[row]] = graph.indices
 
     def number_from(start, pos, count):
         pos[start] = count
         count += 1
         level = np.array([start])
         while True:
-            counts = degree[level]
-            gather = np.repeat(indptr[level] - np.cumsum(counts) + counts, counts)
-            cand = nbrs[gather + np.arange(len(gather))]
-            parent = np.repeat(np.arange(len(level)), counts)
-            fresh = pos[cand] < 0
-            cand, parent = cand[fresh], parent[fresh]
-            if not len(cand):
+            cand = table[level].ravel()
+            fresh = np.flatnonzero(pos[cand] < 0)
+            if not len(fresh):
                 return count, int(level[-1])
-            cand = cand[np.lexsort((cand, degree[cand], parent))]
+            cand = cand[fresh]  # from table row ``fresh // width``: the parent's place in the level
+            cand = cand[np.lexsort((cand, degree[cand], fresh // width))]
             _, first = np.unique(cand, return_index=True)
             level = cand[np.sort(first)]
             pos[level] = np.arange(count, count + len(level))
             count += len(level)
 
-    pos = np.full(n, -1, dtype=np.int64)
+    pos = np.full(n + 1, -1, dtype=np.int64)
+    pos[n] = n
     count = 0
     while count < n:
         free = np.flatnonzero(pos < 0)
         start = int(free[np.argmin(degree[free])])
         _, far = number_from(start, pos.copy(), count)
         count, _ = number_from(far, pos, count)
-    return pos
+    return pos[:n]
 
 
 _OPS_CACHE: "weakref.WeakKeyDictionary[Mesh, _MeshOps]" = weakref.WeakKeyDictionary()

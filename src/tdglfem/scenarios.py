@@ -17,7 +17,7 @@ Three named scenarios cover the solver's test surface:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -229,27 +229,38 @@ def scenario_defaults(name: str) -> dict:
 # refinement study against the manufactured solution
 
 
-def run_manufactured_convergence(resolutions=(8, 16, 32, 64), kappa: float = 1.0,
-                                 sigma: float = 1.0, T: float = 1.0):
+def run_manufactured_convergence(resolutions=(8, 16, 32, 64), cfg=None):
     """Solve the manufactured problem on a halving mesh family with tau = 1/M.
+
+    Each level is ``cfg`` (a manufactured ``config.RunConfig``; every
+    scenario default when ``None``) at ``M`` = its resolution, built by
+    ``config.materialize``, and every level is built before the first
+    solve. ``cfg`` may not set the keys the study sets itself or never
+    reads: ``M``, ``tau``, ``mesh_file``, ``snapshots`` and
+    ``series_cadence``; ``config.ConfigError`` says which.
 
     Returns ``(reports, rates)`` where ``reports`` is one error report per
     resolution (coarse to fine) and ``rates`` maps field name to observed
     orders between consecutive resolutions.
     """
+    from .config import ConfigError, RunConfig, materialize
     from .diagnostics import convergence_rates, error_norms
     from .stepper import run
 
+    cfg = RunConfig(scenario="manufactured") if cfg is None else cfg
+    if cfg.scenario != "manufactured":
+        raise ConfigError("convergence study requires scenario = manufactured", key="scenario")
+    for key in ("M", "tau", "mesh_file", "snapshots", "series_cadence"):
+        if getattr(cfg, key) is not None:
+            raise ConfigError(f"{key} cannot be set for the convergence study", key=key)
+    levels = [materialize(replace(cfg, M=int(m))) for m in resolutions]
+
     reports = []
     for m in resolutions:
-        m = int(m)
-        mesh = unit_square_mesh(m)
-        tau = 1.0 / m
-        params, exact = manufactured_params(kappa, sigma, T, tau)
-        state = run(mesh, params)
-        reports.append(
-            error_norms(mesh, state.A, state.psi, exact, state.t, h=1.0 / m, tau=tau)
-        )
+        level = levels.pop(0)  # no solved level outlives the next one's run
+        state = run(level.mesh, level.params)
+        reports.append(error_norms(level.mesh, state.A, state.psi, level.exact, state.t,
+                                   h=1.0 / m, tau=level.params.tau))
     hs = [rep.h for rep in reports]
     rates = {
         name: convergence_rates(hs, [getattr(rep, "err_" + name) for rep in reports])

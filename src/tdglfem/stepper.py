@@ -246,7 +246,8 @@ def initialize(mesh: Mesh, A0, psi0, params: SchemeParams) -> SimulationState:
 
     Obtuse meshes are refused (the modulus-bound structure needs acute
     cells); weakly acute meshes run with a warning unless
-    ``params.strict_acute`` is set.
+    ``params.strict_acute`` is set. Finite data whose energy overflows is
+    refused with ``ValueError`` naming the energy term.
     """
     audit = audit_mesh(mesh)
     if not audit.weakly_acute:
@@ -294,7 +295,12 @@ def initialize(mesh: Mesh, A0, psi0, params: SchemeParams) -> SimulationState:
         )
         state.mbp_guaranteed = False
     Lhat = fem.assemble_Lhat(mesh, A, params.kappa)
-    state.history.append(_energy_row(mesh, params, Lhat, A, psi, 0.0, 0.0))
+    row = _energy_row(mesh, params, Lhat, A, psi, 0.0, 0.0)
+    # a non-finite energy would also void the budget of every later energy check
+    for term in ("covariant", "magnetic", "potential"):
+        if not math.isfinite(getattr(row, term)):
+            raise ValueError(f"initial {term} energy is not finite: {getattr(row, term)!r}")
+    state.history.append(row)
     return state
 
 

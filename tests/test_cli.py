@@ -208,6 +208,18 @@ def test_run_strict_acute_flag(tmp_path, capsys):
     assert "weakly acute" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_run_refuses_overflowing_initial_energy(tmp_path, capsys):
+    out = tmp_path / "r"
+    cfg = write_config(
+        tmp_path, f"scenario = custom\nM = 4\nkappa = 1\nT = 1\nH = 1e308\nout = {out}\n"
+    )
+    assert main(["run", "--config", cfg]) == 3
+    assert "initial magnetic energy is not finite" in capsys.readouterr().err
+    assert not (out / "series.csv").exists()
+
+
 # -- check-mesh -----------------------------------------------------------------
 
 
@@ -273,6 +285,12 @@ def test_convergence_bad_resolutions(capsys):
     [
         ("T = inf", "4,8", "T must be finite"),
         ("kappa = -1", "4,8", "kappa must be positive"),
+        ("energy_check = bogus", "4,8", "energy_check must be one of"),
+        ("tau = 0.5", "4,8", "tau cannot be set"),
+        ("M = 8", "4,8", "M cannot be set"),
+        ("mesh_file = nowhere.msh", "4,8", "mesh_file cannot be set"),
+        ("snapshots = 0.5", "4,8", "snapshots cannot be set"),
+        ("series_cadence = 2", "4,8", "series_cadence cannot be set"),
         (None, "4,0", "double"),
         (None, "4,4", "double"),
         (None, "0,0", "double"),
@@ -289,6 +307,20 @@ def test_convergence_validates_before_solving(tmp_path, capsys, monkeypatch, con
         argv += ["--config", write_config(tmp_path, f"scenario = manufactured\n{config}\n")]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_convergence_levels_follow_the_config(tmp_path, monkeypatch):
+    real_run, seen = tdglfem.stepper.run, []
+
+    def recording_run(mesh, params):
+        seen.append((mesh.num_cells, params.kappa, params.mu, params.tau, params.T))
+        return real_run(mesh, params)
+
+    monkeypatch.setattr(tdglfem.stepper, "run", recording_run)
+    cfg = write_config(tmp_path, "scenario = manufactured\nkappa = 2\nmu = 50\nT = 0.5\n")
+    assert main(["convergence", "--config", cfg, "--resolutions", "2,4"]) == 0
+    assert seen == [(8, 2.0, 50.0, 0.5, 0.5), (32, 2.0, 50.0, 0.25, 0.5)]
 
 
 def test_convergence_config_must_be_manufactured(tmp_path, capsys):

@@ -23,7 +23,7 @@ from tdglfem.fem import (
     quadrature_info,
     ritz_projection,
 )
-from tdglfem.mesh import generate_uniform_square
+from tdglfem.mesh import Mesh, generate_uniform_square
 from tdglfem.scenarios import holed_square_mesh, lshape_mesh, unit_square_mesh
 
 import oracles
@@ -301,8 +301,8 @@ def unit_random_psi(mesh, rng):
 
 @MESH_FAMILIES
 def test_csr_pattern_matches_unique(mesh):
-    ops = fem._ops(mesh)
-    for local, n in ((mesh.cells, mesh.num_vertices), (ops.cell_dofs, num_edge_dofs(mesh))):
+    dofs = np.stack([2 * mesh.cell_edges, 2 * mesh.cell_edges + 1], axis=2).reshape(-1, 6)
+    for local, n in ((mesh.cells, mesh.num_vertices), (dofs, num_edge_dofs(mesh))):
         rows = np.repeat(local, local.shape[1], axis=1)
         cols = np.tile(local, local.shape[1])
         pattern = fem.CsrPattern(rows, cols, n)
@@ -593,16 +593,56 @@ def test_cost_rule_choices():
 def test_cuthill_mckee_numbers_every_component():
     # two paths, 0-1-2-3 and 4-5, the second listed first
     a, b = np.array([4, 2, 0, 1]), np.array([5, 3, 1, 2])
-    pos = fem._cuthill_mckee(6, a, b)
+    graph = sp.csr_matrix((np.ones(8), (np.r_[a, b], np.r_[b, a])), shape=(6, 6))
+    pos = fem._cuthill_mckee(graph)
     assert sorted(pos) == list(range(6))
     assert np.abs(pos[a] - pos[b]).max() == 1
+    # a diagonal, as the cell coupling has, leaves the numbering as it is
+    np.testing.assert_array_equal(fem._cuthill_mckee((graph + sp.eye(6)).tocsr()), pos)
+
+
+def cell_coupling(mesh):
+    """``C diag(M)^{-1} C^T`` on the cells, as CSR."""
+    ops = fem._ops(mesh)
+    return (ops.curl @ sp.diags(1.0 / ops.mass.diagonal()) @ ops.curl.T).tocsr()
 
 
 def test_cell_numbering_band_is_narrow():
     mesh = lshape_mesh(32)
-    pos, bw = fem._ops(mesh)._cell_numbering
+    coupling = cell_coupling(mesh)
+    pos = fem._cuthill_mckee(coupling)
     assert sorted(pos) == list(range(mesh.num_cells))
-    assert bw <= 64
+    rows, cols = coupling.nonzero()
+    bw = fem._ops(mesh)._cell_band[-1]
+    assert np.abs(pos[rows] - pos[cols]).max() == bw <= 64
+
+
+def rotated(mesh, degrees):
+    turn = np.deg2rad(degrees)
+    rot = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+    return Mesh.from_cells(mesh.vertices @ rot.T, mesh.cells)
+
+
+@pytest.mark.parametrize(
+    "build, bw",
+    [
+        (lambda: lshape_mesh(8), 8),
+        (lambda: lshape_mesh(32), 32),
+        (lambda: unit_square_mesh(8), 8),
+        (lambda: unit_square_mesh(16), 16),
+        (lambda: unit_square_mesh(32), 32),
+        (lambda: holed_square_mesh(2), 19),
+        (lambda: holed_square_mesh(8), 73),
+        (lambda: rotated(lshape_mesh(32), 30), 32),
+    ],
+    ids=["lshape8", "lshape32", "unit8", "unit16", "unit32", "holed2", "holed8", "lshape32-rot30"],
+)
+def test_cell_band_width(build, bw):
+    mesh = build()
+    *_, band, width = fem._ops(mesh)._cell_band
+    assert width == bw
+    # the band holds the lower triangle of the coupling, permuted, entry for entry
+    assert len(band) == (cell_coupling(mesh).nnz + mesh.num_cells) // 2
 
 
 def test_ops_cache_releases_mesh():

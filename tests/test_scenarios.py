@@ -11,6 +11,7 @@ from tdglfem.scenarios import (
     scenario_defaults,
     unit_square_mesh,
 )
+from tdglfem.config import RunConfig
 from tdglfem.stepper import AdaptiveTau
 
 
@@ -195,7 +196,8 @@ def test_manufactured_convergence_smoke():
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        reports, rates = run_manufactured_convergence(resolutions=(4, 8), T=0.5)
+        cfg = RunConfig(scenario="manufactured", T=0.5)
+        reports, rates = run_manufactured_convergence((4, 8), cfg)
     assert len(reports) == 2
     assert reports[1].err_psi < reports[0].err_psi
     assert reports[1].err_A < reports[0].err_A

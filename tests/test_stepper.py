@@ -208,6 +208,24 @@ def test_initialize_rejects_nonfinite_data(square2):
         initialize(square2, A0, 1.0 + 0j, quiet_params())
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize(
+    "kw, term, value",
+    [
+        (dict(H=1e308), "magnetic", "inf"),
+        (dict(kappa=1e-300), "covariant", "nan"),
+        (dict(psi0=1e200 + 0j), "potential", "inf"),
+    ],
+    ids=["H", "kappa", "psi0"],
+)
+def test_initialize_refuses_nonfinite_energy(square2, kw, term, value):
+    # finite data whose initial energy overflows: no later energy check could fire
+    params = quiet_params(**kw)
+    with pytest.raises(ValueError, match=f"initial {term} energy is not finite: {value}"):
+        initialize(square2, params.A0, params.psi0, params)
+
+
 def test_initialize_records_t0(square2):
     state = initialize_quiet(square2)
     assert state.t == 0.0
