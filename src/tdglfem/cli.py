@@ -1,13 +1,15 @@
 """Command line front end.
 
 Subcommands: ``run`` (integrate one configured scenario), ``convergence``
-(refinement study against the manufactured solution), ``check-mesh`` (angle
-and uniformity audit), and ``scenarios`` (list the built-in setups).
+(refinement study against the manufactured solution, also importable as
+:func:`run_manufactured_convergence`), ``check-mesh`` (angle and uniformity
+audit), and ``scenarios`` (list the built-in setups from their records).
 
 Exit codes: 0 on success, 2 for configuration problems (bad config text,
-unreadable or malformed mesh files, inconsistent parameters), 3 for solver
-failures or policy refusals (iteration caps, obtuse meshes, aborted checks);
-a ``run`` failing in its time loop still writes the accepted rows.
+unreadable, non-UTF-8 or malformed mesh and config files, inconsistent
+parameters), 3 for solver failures or policy refusals (iteration caps,
+obtuse meshes, aborted checks); a ``run`` failing in its time loop still
+writes the accepted rows.
 
 Heavy imports happen inside the handlers so ``--threads`` can pin the BLAS
 thread pools through the environment before numpy loads.
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 #: maps --threads to the knobs the common BLAS backends actually read
 _THREAD_VARS = (
@@ -87,7 +90,7 @@ def _read_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         from .config import ConfigError
 
         raise ConfigError(f"cannot read config: {exc}") from exc
@@ -143,10 +146,49 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def run_manufactured_convergence(resolutions=(8, 16, 32, 64), cfg=None):
+    """Solve the manufactured problem on a halving mesh family with tau = 1/M.
+
+    Each level is ``cfg`` (a manufactured ``config.RunConfig``; every
+    scenario default when ``None``) at ``M`` = its resolution, built by
+    ``config.materialize``, and every level is built before the first
+    solve. ``cfg`` may not set the keys the study sets itself or never
+    reads: ``M``, ``tau``, ``mesh_file``, ``snapshots`` and
+    ``series_cadence``; ``config.ConfigError`` says which.
+
+    Returns ``(reports, rates)`` where ``reports`` is one error report per
+    resolution (coarse to fine) and ``rates`` maps field name to observed
+    orders between consecutive resolutions.
+    """
+    from .config import ConfigError, RunConfig, materialize
+    from .diagnostics import convergence_rates, error_norms
+    from .stepper import run
+
+    cfg = RunConfig(scenario="manufactured") if cfg is None else cfg
+    if cfg.scenario != "manufactured":
+        raise ConfigError("convergence study requires scenario = manufactured", key="scenario")
+    for key in ("M", "tau", "mesh_file", "snapshots", "series_cadence"):
+        if getattr(cfg, key) is not None:
+            raise ConfigError(f"{key} cannot be set for the convergence study", key=key)
+    levels = [materialize(replace(cfg, M=int(m))) for m in resolutions]
+
+    reports = []
+    for m in resolutions:
+        level = levels.pop(0)  # no solved level outlives the next one's run
+        state = run(level.mesh, level.params)
+        reports.append(error_norms(level.mesh, state.A, state.psi, level.exact, state.t,
+                                   h=1.0 / m, tau=level.params.tau))
+    hs = [rep.h for rep in reports]
+    rates = {
+        name: convergence_rates(hs, [getattr(rep, "err_" + name) for rep in reports])
+        for name in ("A", "curl_A", "psi", "grad_psi")
+    }
+    return reports, rates
+
+
 def _cmd_convergence(args) -> int:
     from .config import ConfigError, RunConfig
     from .output import ensure_dir, write_convergence_csv
-    from .scenarios import run_manufactured_convergence
 
     cfg = _read_config(args.config) if args.config else RunConfig(scenario="manufactured")
     try:
@@ -212,18 +254,20 @@ def _cmd_check_mesh(args) -> int:
 
 
 def _cmd_scenarios(args) -> int:
-    from .scenarios import SCENARIO_NAMES, scenario_defaults
+    from .scenarios import SCENARIO_KEYS, SCENARIOS
     from .stepper import AdaptiveTau
 
-    for name in SCENARIO_NAMES:
-        d = scenario_defaults(name)
-        print(f"{name}: {d['description']}")
-        for key in ("M", "kappa", "sigma", "T", "mu", "tau", "H", "psi0"):
-            value = d[key]
-            if isinstance(value, AdaptiveTau):
+    adaptive = AdaptiveTau()
+    for name, scenario in SCENARIOS.items():
+        print(f"{name}: {scenario.description}")
+        for key in SCENARIO_KEYS:
+            value = scenario.defaults.get(key)
+            if key in scenario.fixed:
+                value = "from exact solution"
+            elif value == "adaptive":
                 value = (
-                    f"adaptive (alpha={value.alpha:g}, tau_min={value.tau_min:g}, "
-                    f"tau_max={value.tau_max:g})"
+                    f"adaptive (alpha={adaptive.alpha:g}, tau_min={adaptive.tau_min:g}, "
+                    f"tau_max={adaptive.tau_max:g})"
                 )
             print(f"    {key} = {value}")
     return 0

@@ -5,20 +5,24 @@ The format is line oriented ``key = value`` with ``#`` comments and optional
 appear at most once). Unknown keys are errors, not warnings: a typo must not
 silently fall back to a default.
 
-Example::
+A config runs one named scenario (``tdglfem scenarios`` lists them with
+their defaults); every key it leaves out takes the scenario's default. A
+config for the default scenario::
 
-    scenario = lshape
+    M = 16
     T = 20
     tau = adaptive
-    out = results/lshape
+    out = results/run
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
+from . import scenarios
+from .mesh import load_mesh_file
 from .stepper import AdaptiveTau, SchemeParams
 
 __all__ = ["ConfigError", "RunConfig", "OutputOptions", "PreparedRun",
@@ -37,7 +41,7 @@ class ConfigError(ValueError):
 class RunConfig:
     """One run as written in a config file; ``None`` means scenario default."""
 
-    scenario: str = "lshape"
+    scenario: str = scenarios.DEFAULT_SCENARIO
     M: int | None = None
     mesh_file: str | None = None
     kappa: float | None = None
@@ -166,39 +170,31 @@ class PreparedRun:
     exact: object | None  # reference fields when the scenario has them
 
 
-def _pick(cfg_value, default):
-    return default if cfg_value is None else cfg_value
-
-
 def materialize(cfg: RunConfig) -> PreparedRun:
-    """Resolve scenario defaults, build the mesh and the solver parameters.
+    """Merge a config onto its scenario's record; build the mesh and the solver parameters.
 
-    Raises :class:`ConfigError` for inconsistent combinations (the full set
-    of valid keys is scenario dependent: the manufactured problem determines
-    its own initial data and applied field, for instance).
+    Every key the config leaves ``None`` takes the scenario's default (see
+    ``scenarios.Scenario``). A key with neither must be configured, and a key
+    the scenario sets itself may not be. Raises :class:`ConfigError` for such
+    combinations and for parameters the solver rejects.
     """
-    from . import scenarios
-    from .mesh import load_mesh_file
-
     name = cfg.scenario
-    if name not in scenarios.SCENARIO_NAMES:
+    scenario = scenarios.SCENARIOS.get(name)
+    if scenario is None:
         raise ConfigError(
             f"unknown scenario {name!r}; choose from {scenarios.SCENARIO_NAMES}",
             key="scenario",
         )
-    defaults = scenarios.scenario_defaults(name)
+    given = {key: value for key, value in vars(cfg).items() if value is not None}
+    values = {**scenario.defaults, **given}
     if cfg.series_cadence is not None and cfg.series_cadence < 1:
         raise ConfigError(
             f"series_cadence must be a positive integer, got {cfg.series_cadence}",
             key="series_cadence",
         )
-
-    if name == "manufactured":
-        for key in ("H", "psi0", "mesh_file"):
-            if getattr(cfg, key) is not None:
-                raise ConfigError(
-                    f"{key} cannot be overridden for the manufactured scenario", key=key
-                )
+    for key in scenario.fixed:
+        if key in given:
+            raise ConfigError(f"{key} cannot be overridden for the {name} scenario", key=key)
 
     # mesh ------------------------------------------------------------
     if cfg.mesh_file is not None:
@@ -210,82 +206,54 @@ def materialize(cfg: RunConfig) -> PreparedRun:
             raise ConfigError(f"cannot read mesh_file: {exc}", key="mesh_file") from exc
         mesh_m = None
     else:
-        mesh_m = _pick(cfg.M, defaults["M"])
+        mesh_m = values.get("M")
         if mesh_m is None:
             raise ConfigError(f"scenario {name!r} needs M or mesh_file", key="M")
-        builder = {
-            "manufactured": scenarios.unit_square_mesh,
-            "lshape": scenarios.lshape_mesh,
-            "square_with_holes": scenarios.holed_square_mesh,
-            "custom": scenarios.unit_square_mesh,
-        }[name]
         try:
-            mesh = builder(mesh_m)
+            mesh = scenario.build_mesh(mesh_m)
         except ValueError as exc:
             raise ConfigError(str(exc), key="M") from exc
-
-    # physics ------------------------------------------------------------
-    kappa = _pick(cfg.kappa, defaults["kappa"])
-    if kappa is None:
-        raise ConfigError("custom scenario needs kappa", key="kappa")
-    sigma = _pick(cfg.sigma, defaults["sigma"])
-    T = _pick(cfg.T, defaults["T"])
-    if T is None:
-        raise ConfigError("custom scenario needs T", key="T")
-    mu = _pick(cfg.mu, defaults["mu"])
+    for key in scenarios.SCENARIO_KEYS[1:]:  # M is settled with the mesh
+        if key not in values and key not in scenario.fixed:
+            raise ConfigError(f"{name} scenario needs {key}", key=key)
 
     # step size ------------------------------------------------------------
-    tau_default = defaults["tau"]
-    tau_cfg = cfg.tau
-    adaptive_keys = [k for k in ("alpha", "tau_min", "tau_max") if getattr(cfg, k) is not None]
-    if tau_cfg is None:
-        tau = tau_default
-        if tau == "1/M":
-            if mesh_m is None:
-                raise ConfigError("tau must be given explicitly with mesh_file", key="tau")
-            tau = 1.0 / mesh_m
-    elif tau_cfg == "adaptive":
+    tau = values["tau"]
+    if tau == "1/M":
+        if mesh_m is None:
+            raise ConfigError("tau must be given explicitly with mesh_file", key="tau")
+        tau = 1.0 / mesh_m
+    elif tau == "adaptive":
         tau = AdaptiveTau()
     else:
-        tau = float(tau_cfg)
+        tau = float(tau)
+    adaptive_keys = [k for k in ("alpha", "tau_min", "tau_max") if k in given]
     if isinstance(tau, AdaptiveTau):
         try:
-            tau = replace(tau, **{k: getattr(cfg, k) for k in adaptive_keys})
+            tau = replace(tau, **{k: given[k] for k in adaptive_keys})
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     elif adaptive_keys:
         raise ConfigError(
             f"{adaptive_keys[0]} only applies with tau = adaptive", key=adaptive_keys[0]
         )
+    values["tau"] = tau
 
-    # scenario-specific fields -----------------------------------------
-    exact = None
-    policies = dict(
-        mu=mu,
-        strict_acute=cfg.strict_acute,
-        energy_check=_pick(cfg.energy_check, "warn"),
-        mbp_check=_pick(cfg.mbp_check, "warn"),
-    )
+    # solver parameters: the configured ones, then those the exact solution fixes
+    exact, solution_fields = None, {}
+    if scenario.solution is not None:
+        exact, solution_fields = scenario.solution(values["kappa"], values["sigma"])
     try:
-        if name == "manufactured":
-            params, exact = scenarios.manufactured_params(kappa, sigma, T, tau)
-            params = replace(params, **policies)
-        else:
-            params = SchemeParams(
-                kappa=kappa,
-                sigma=sigma,
-                T=T,
-                tau=tau,
-                H=_pick(cfg.H, defaults["H"]),
-                psi0=_pick(cfg.psi0, defaults["psi0"]),
-                **policies,
-            )
+        params = SchemeParams(
+            **{f.name: values[f.name] for f in fields(SchemeParams) if f.name in values},
+            **solution_fields,
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     output = OutputOptions(
         out=cfg.out,
         snapshots=tuple(cfg.snapshots) if cfg.snapshots else (),
-        series_cadence=_pick(cfg.series_cadence, 1),
+        series_cadence=cfg.series_cadence or 1,
     )
     return PreparedRun(mesh=mesh, params=params, output=output, exact=exact)

@@ -109,9 +109,10 @@ class Mesh:
     def from_cells(cls, vertices, cells) -> "Mesh":
         """Build a mesh from raw arrays, normalizing orientation.
 
-        Cells with negative signed area are flipped; zero-area cells and
-        vertices referenced by no cell are rejected. Edge topology is derived
-        here and an edge incident to more than two cells is an error.
+        Cells with negative signed area are flipped; non-finite coordinates,
+        zero-area cells and vertices referenced by no cell are rejected. Edge
+        topology is derived here and an edge incident to more than two cells
+        is an error.
         """
         verts = np.ascontiguousarray(np.asarray(vertices, dtype=float))
         tris = np.ascontiguousarray(np.asarray(cells, dtype=np.int64))
@@ -119,6 +120,8 @@ class Mesh:
             raise ValueError("vertices must have shape (nv, 2)")
         if tris.ndim != 2 or tris.shape[1] != 3:
             raise ValueError("cells must have shape (nc, 3)")
+        if not np.isfinite(verts).all():
+            raise ValueError("vertex coordinates must be finite")
         if len(tris) == 0:
             raise EmptyMeshError("mesh has no cells")
         if tris.min() < 0 or tris.max() >= len(verts):
@@ -173,7 +176,7 @@ def _signed_areas(triangle_xy: np.ndarray) -> np.ndarray:
 # structured builders
 
 
-def generate_uniform_square(M: int, domain="unit", mask=None) -> Mesh:
+def generate_uniform_square(M: int, domain=(0.0, 0.0, 1.0, 1.0), mask=None) -> Mesh:
     """Uniform right-triangle mesh of a rectangle, optionally with squares
     removed.
 
@@ -184,11 +187,9 @@ def generate_uniform_square(M: int, domain="unit", mask=None) -> Mesh:
     ----------
     M : int
         Subdivisions per unit length, at least 1.
-    domain : {"unit", "lshape"} or (x0, y0, x1, y1)
-        ``"unit"`` is the unit square. ``"lshape"`` is ``(-0.5, 0.5)^2`` with
-        the quadrant ``[0, 0.5] x [-0.5, 0]`` removed; it needs even ``M`` so
-        the reentrant corner lies on grid lines. A tuple gives a rectangle
-        whose side lengths must be whole multiples of ``1/M``.
+    domain : (x0, y0, x1, y1)
+        The rectangle, the unit square by default. Its side lengths must be
+        whole multiples of ``1/M``.
     mask : callable, optional
         ``mask(cx, cy) -> bool array`` over grid-square centers; squares where
         it returns True are excluded.
@@ -196,22 +197,9 @@ def generate_uniform_square(M: int, domain="unit", mask=None) -> Mesh:
     M = int(M)
     if M < 1:
         raise ValueError("M must be a positive integer")
-
-    lshape = False
-    if isinstance(domain, str):
-        if domain == "unit":
-            rect = (0.0, 0.0, 1.0, 1.0)
-        elif domain == "lshape":
-            if M % 2:
-                raise ValueError("lshape needs even M so the corner lies on grid lines")
-            rect = (-0.5, -0.5, 0.5, 0.5)
-            lshape = True
-        else:
-            raise ValueError(f"unknown named domain {domain!r}")
-    else:
-        rect = tuple(float(v) for v in domain)
-        if len(rect) != 4:
-            raise ValueError("domain tuple must be (x0, y0, x1, y1)")
+    rect = tuple(float(v) for v in domain)
+    if len(rect) != 4:
+        raise ValueError("domain tuple must be (x0, y0, x1, y1)")
 
     x0, y0, x1, y1 = rect
     if not (x1 > x0 and y1 > y0):
@@ -232,12 +220,9 @@ def generate_uniform_square(M: int, domain="unit", mask=None) -> Mesh:
     cx = x0 + (ix + 0.5) * (x1 - x0) / nx
     cy = y0 + (iy + 0.5) * (y1 - y0) / ny
 
-    keep = np.ones(len(ix), dtype=bool)
-    if lshape:
-        keep &= ~((cx > 0.0) & (cy < 0.0))
     if mask is not None:
-        keep &= ~np.asarray(mask(cx, cy), dtype=bool)
-    ix, iy = ix[keep], iy[keep]
+        keep = ~np.asarray(mask(cx, cy), dtype=bool)
+        ix, iy = ix[keep], iy[keep]
     if len(ix) == 0:
         raise EmptyMeshError("mask removed every grid square")
 
@@ -306,7 +291,7 @@ def load_gmsh_ascii(text: str) -> Mesh:
             ids[k] = int(parts[0])
             xy[k, 0] = float(parts[1])
             xy[k, 1] = float(parts[2])
-        except ValueError:
+        except (ValueError, OverflowError):
             raise MalformedFileError(f"malformed node line: {line!r}") from None
     id_to_index = {int(i): k for k, i in enumerate(ids)}
     if len(id_to_index) != n_nodes:
@@ -346,8 +331,7 @@ def load_gmsh_ascii(text: str) -> Mesh:
     if not tris:
         raise EmptyMeshError("file contains no triangles")
 
-    verts, cells = _compact(xy, np.asarray(tris, dtype=np.int64))
-    mesh = Mesh.from_cells(verts, cells)
+    mesh = _file_mesh(*_compact(xy, np.asarray(tris, dtype=np.int64)))
 
     if seg_nodes:
         # boundary tagging cross-check: every 2-node line should be a
@@ -426,19 +410,32 @@ def parse_native(text: str) -> Mesh:
             [[int(t) for t in lines[3 + nv + k].split()] for k in range(nc)],
             dtype=np.int64,
         )
-    except (IndexError, ValueError):
+    except (IndexError, ValueError, OverflowError):
         raise MalformedFileError("truncated or malformed native mesh file") from None
     if nc == 0:
         raise EmptyMeshError("native mesh file contains no triangles")
     if verts.ndim != 2 or verts.shape[1] != 2 or cells.shape[1] != 3:
         raise MalformedFileError("native mesh file has wrong column counts")
-    return Mesh.from_cells(verts, cells)
+    return _file_mesh(verts, cells)
+
+
+def _file_mesh(verts, cells) -> Mesh:
+    """:meth:`Mesh.from_cells` on a file's arrays: what it rejects makes the file malformed."""
+    try:
+        return Mesh.from_cells(verts, cells)
+    except EmptyMeshError:
+        raise
+    except ValueError as exc:
+        raise MalformedFileError(str(exc)) from None
 
 
 def load_mesh_file(path) -> Mesh:
     """Load a mesh from a file, sniffing the format from its first line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedFileError(f"{path} is not UTF-8 text: {exc}") from None
     head = text.lstrip().splitlines()[0] if text.strip() else ""
     if head == NATIVE_HEADER:
         return parse_native(text)

@@ -1,39 +1,42 @@
-"""Ready-made problem setups and the manufactured-solution benchmark.
+"""Built-in scenarios: one record each, and the manufactured exact solution.
 
-Three named scenarios cover the solver's test surface:
+Each named scenario is a :class:`Scenario` in ``SCENARIOS``; the config
+layer merges a run config onto it and the CLI lists it.
 
 * ``manufactured``: a smooth exact solution on the unit square with the
   forcing terms that make it solve the driven system; used for convergence
-  studies. The applied field is time dependent here, so the energy decay
-  check does not apply.
+  studies. It sets its own applied field, initial data and mesh. The applied
+  field is time dependent here, so the energy decay check does not apply.
 * ``lshape``: relaxation from a constant order parameter on an L-shaped
   domain under a moderate applied field; a single vortex migrates to the
   reentrant corner and the state settles.
 * ``square_with_holes``: a 10 x 10 square with four unit holes, weak
   applied field, long horizon; exercises multiply connected domains.
-
-``custom`` runs user-supplied constants on a user-supplied mesh.
+* ``custom``: user-supplied constants on a user-supplied mesh; ``kappa``,
+  ``T`` and ``M`` (or ``mesh_file``) have no default.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .mesh import Mesh, generate_uniform_square
-from .stepper import AdaptiveTau, SchemeParams
 
 __all__ = [
     "ExactSolution",
     "manufactured_fields",
-    "manufactured_params",
     "unit_square_mesh",
     "lshape_mesh",
     "holed_square_mesh",
+    "Scenario",
+    "SCENARIOS",
     "SCENARIO_NAMES",
-    "scenario_defaults",
+    "DEFAULT_SCENARIO",
+    "SCENARIO_KEYS",
 ]
 
 
@@ -114,41 +117,24 @@ def manufactured_fields(kappa: float = 1.0, sigma: float = 1.0):
     return exact, forcing_A, forcing_psi
 
 
-def manufactured_params(kappa: float, sigma: float, T: float,
-                        tau) -> tuple[SchemeParams, ExactSolution]:
-    """Scheme parameters of the manufactured problem, and its exact solution.
-
-    The applied field and the forcings are those of
-    :func:`manufactured_fields`; ``psi0`` is the exact ``psi`` at ``t = 0``
-    and ``A0`` the Ritz projection of the exact ``A`` there. Every other
-    parameter keeps its default. Returns ``(params, exact)``.
-    """
-    exact, forcing_A, forcing_psi = manufactured_fields(kappa, sigma)
-    params = SchemeParams(
-        kappa=kappa,
-        sigma=sigma,
-        T=T,
-        tau=tau,
-        H=exact.H,
-        psi0=lambda x, y: exact.psi(x, y, 0.0),
-        A0=(lambda x, y: exact.A(x, y, 0.0), lambda x, y: exact.curl_A(x, y, 0.0)),
-        forcing_A=forcing_A,
-        forcing_psi=forcing_psi,
-    )
-    return params, exact
-
-
 # ---------------------------------------------------------------------------
 # meshes
 
 
 def unit_square_mesh(M: int) -> Mesh:
-    return generate_uniform_square(M, domain="unit")
+    return generate_uniform_square(M)
 
 
 def lshape_mesh(M: int) -> Mesh:
-    """L-shaped domain ``(-0.5, 0.5)^2`` minus ``[0, 0.5] x [-0.5, 0]``."""
-    return generate_uniform_square(M, domain="lshape")
+    """L-shaped domain ``(-0.5, 0.5)^2`` minus ``[0, 0.5] x [-0.5, 0]``.
+
+    ``M`` must be even so the reentrant corner lies on grid lines.
+    """
+    if int(M) % 2:
+        raise ValueError("lshape needs even M so the corner lies on grid lines")
+    return generate_uniform_square(
+        M, domain=(-0.5, -0.5, 0.5, 0.5), mask=lambda cx, cy: (cx > 0.0) & (cy < 0.0)
+    )
 
 
 def _hole_band(v):
@@ -167,103 +153,81 @@ def holed_square_mesh(M: int) -> Mesh:
 
 
 # ---------------------------------------------------------------------------
-# scenario defaults (consumed by the config layer and the CLI listing)
+# the named scenarios (merged onto by the config layer, listed by the CLI)
 
-SCENARIO_NAMES = ("manufactured", "lshape", "square_with_holes", "custom")
+#: config keys a scenario may default, in the order the CLI lists them
+SCENARIO_KEYS = ("M", "kappa", "sigma", "T", "mu", "tau", "H", "psi0")
 
-_DEFAULTS = {
-    "manufactured": dict(
-        description="unit square, smooth exact solution with matching forcing",
-        M=16,
-        kappa=1.0,
-        sigma=1.0,
-        T=1.0,
-        mu=2.0,
-        tau="1/M",
-        psi0="from exact solution",
-        H="from exact solution",
+
+@dataclass(frozen=True)
+class Scenario:
+    """One named setup, as the config layer merges a run config onto it.
+
+    ``defaults`` maps config keys to their values in config terms (``tau``
+    may also be ``"1/M"``, one step per mesh width). A key of
+    ``SCENARIO_KEYS`` that is neither defaulted nor in ``fixed`` must be
+    configured; ``fixed`` names the config keys the scenario sets itself,
+    which a config may not set. ``mesh`` names this module's builder of the
+    mesh at ``M``, looked up when called. ``solution``, when given, maps
+    ``(kappa, sigma)`` to the exact solution and the ``SchemeParams`` fields
+    it determines.
+    """
+
+    description: str
+    mesh: str
+    defaults: Mapping
+    fixed: tuple = ()
+    solution: Callable | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "defaults", MappingProxyType(dict(self.defaults)))
+
+    def build_mesh(self, M: int) -> Mesh:
+        return globals()[self.mesh](M)
+
+
+def _manufactured_solution(kappa, sigma):
+    """The exact solution, and the applied field, initial data and forcings it fixes.
+
+    ``psi0`` is the exact ``psi`` at ``t = 0`` and ``A0`` the Ritz
+    projection of the exact ``A`` there.
+    """
+    exact, forcing_A, forcing_psi = manufactured_fields(kappa, sigma)
+    return exact, dict(
+        H=exact.H,
+        psi0=lambda x, y: exact.psi(x, y, 0.0),
+        A0=(lambda x, y: exact.A(x, y, 0.0), lambda x, y: exact.curl_A(x, y, 0.0)),
+        forcing_A=forcing_A,
+        forcing_psi=forcing_psi,
+    )
+
+
+SCENARIOS = {
+    "manufactured": Scenario(
+        "unit square, smooth exact solution with matching forcing",
+        "unit_square_mesh",
+        dict(M=16, kappa=1.0, sigma=1.0, T=1.0, mu=2.0, tau="1/M"),
+        fixed=("H", "psi0", "mesh_file"),
+        solution=_manufactured_solution,
     ),
-    "lshape": dict(
-        description="L-shaped domain, vortex settles into the reentrant corner",
-        M=16,
-        kappa=10.0,
-        sigma=1.0,
-        T=20.0,
-        mu=2.0,
-        tau=AdaptiveTau(),
-        psi0=0.6 + 0.8j,
-        H=5.0,
+    "lshape": Scenario(
+        "L-shaped domain, vortex settles into the reentrant corner",
+        "lshape_mesh",
+        dict(M=16, kappa=10.0, sigma=1.0, T=20.0, mu=2.0, tau="adaptive", psi0=0.6 + 0.8j, H=5.0),
     ),
-    "square_with_holes": dict(
-        description="10x10 square with four unit holes, weak applied field",
-        M=8,
-        kappa=4.0,
-        sigma=1.0,
-        T=100.0,
-        mu=2.0,
-        tau=AdaptiveTau(),
-        psi0=1.0 + 0.0j,
-        H=1.1,
+    "square_with_holes": Scenario(
+        "10x10 square with four unit holes, weak applied field",
+        "holed_square_mesh",
+        dict(M=8, kappa=4.0, sigma=1.0, T=100.0, mu=2.0, tau="adaptive", psi0=1.0 + 0.0j, H=1.1),
     ),
-    "custom": dict(
-        description="user-supplied mesh and constants",
-        M=None,
-        kappa=None,
-        sigma=1.0,
-        T=None,
-        mu=2.0,
-        tau=0.1,
-        psi0=1.0 + 0.0j,
-        H=0.0,
+    "custom": Scenario(
+        "user-supplied mesh and constants",
+        "unit_square_mesh",
+        dict(sigma=1.0, mu=2.0, tau=0.1, psi0=1.0 + 0.0j, H=0.0),
     ),
 }
 
+SCENARIO_NAMES = tuple(SCENARIOS)
 
-def scenario_defaults(name: str) -> dict:
-    if name not in _DEFAULTS:
-        raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
-    return dict(_DEFAULTS[name])
-
-
-# ---------------------------------------------------------------------------
-# refinement study against the manufactured solution
-
-
-def run_manufactured_convergence(resolutions=(8, 16, 32, 64), cfg=None):
-    """Solve the manufactured problem on a halving mesh family with tau = 1/M.
-
-    Each level is ``cfg`` (a manufactured ``config.RunConfig``; every
-    scenario default when ``None``) at ``M`` = its resolution, built by
-    ``config.materialize``, and every level is built before the first
-    solve. ``cfg`` may not set the keys the study sets itself or never
-    reads: ``M``, ``tau``, ``mesh_file``, ``snapshots`` and
-    ``series_cadence``; ``config.ConfigError`` says which.
-
-    Returns ``(reports, rates)`` where ``reports`` is one error report per
-    resolution (coarse to fine) and ``rates`` maps field name to observed
-    orders between consecutive resolutions.
-    """
-    from .config import ConfigError, RunConfig, materialize
-    from .diagnostics import convergence_rates, error_norms
-    from .stepper import run
-
-    cfg = RunConfig(scenario="manufactured") if cfg is None else cfg
-    if cfg.scenario != "manufactured":
-        raise ConfigError("convergence study requires scenario = manufactured", key="scenario")
-    for key in ("M", "tau", "mesh_file", "snapshots", "series_cadence"):
-        if getattr(cfg, key) is not None:
-            raise ConfigError(f"{key} cannot be set for the convergence study", key=key)
-    levels = [materialize(replace(cfg, M=int(m))) for m in resolutions]
-
-    reports = []
-    for m in resolutions:
-        level = levels.pop(0)  # no solved level outlives the next one's run
-        state = run(level.mesh, level.params)
-        reports.append(error_norms(level.mesh, state.A, state.psi, level.exact, state.t,
-                                   h=1.0 / m, tau=level.params.tau))
-    hs = [rep.h for rep in reports]
-    rates = {
-        name: convergence_rates(hs, [getattr(rep, "err_" + name) for rep in reports])
-        for name in ("A", "curl_A", "psi", "grad_psi")
-    }
-    return reports, rates
+#: the scenario of a config that names none
+DEFAULT_SCENARIO = "lshape"

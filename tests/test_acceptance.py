@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tdglfem.cli import run_manufactured_convergence
 from tdglfem.fem import (
     assemble_Lhat,
     evaluate_edge,
@@ -22,7 +23,7 @@ from tdglfem.fem import (
 )
 from tdglfem.linalg import PHI_TOL, phi_apply
 from tdglfem.output import format_timeseries_csv
-from tdglfem.scenarios import holed_square_mesh, lshape_mesh, run_manufactured_convergence, unit_square_mesh
+from tdglfem.scenarios import holed_square_mesh, lshape_mesh, unit_square_mesh
 from tdglfem.stepper import AdaptiveTau, SchemeParams, SimulationState, _mu_for, run, step_psi
 
 from oracles import contraction_check, dense_phi_oracle

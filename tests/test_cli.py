@@ -249,6 +249,52 @@ def test_check_mesh_missing_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+NATIVE_OUT_OF_RANGE = "tdgl-mesh 1\n3\n0 0\n1 0\n0 1\n1\n0 1 3\n"
+NATIVE_ZERO_AREA = "tdgl-mesh 1\n3\n0 0\n1 0\n2 0\n1\n0 1 2\n"
+GMSH_ZERO_AREA = """\
+$MeshFormat
+2.2 0 8
+$EndMeshFormat
+$Nodes
+3
+1 0 0 0
+2 1 0 0
+3 2 0 0
+$EndNodes
+$Elements
+1
+1 2 2 0 1 1 2 3
+$EndElements
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    (NATIVE_OUT_OF_RANGE, "cell refers to a vertex index out of range"),
+    (NATIVE_ZERO_AREA, "1 degenerate (zero-area) cells"),
+    (GMSH_ZERO_AREA, "1 degenerate (zero-area) cells"),
+    (NATIVE_ZERO_AREA.replace("2 0\n", "nan 1\n"), "vertex coordinates must be finite"),
+], ids=["out-of-range", "native-zero-area", "gmsh-zero-area", "non-finite"])
+def test_check_mesh_malformed_file_is_config_error(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.msh"
+    path.write_text(text)
+    assert main(["check-mesh", "--mesh", str(path)]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+
+
+def test_check_mesh_not_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.mesh"
+    path.write_bytes(b"tdgl-mesh 1\n# caf\xe9\n")
+    assert main(["check-mesh", "--mesh", str(path)]) == 2
+    assert "is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_run_config_not_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"scenario = lshape\nM = 4\n# \xff\n")
+    assert main(["run", "--config", str(path)]) == 2
+    assert "configuration error: cannot read config" in capsys.readouterr().err
+
+
 def test_check_mesh_from_config(tmp_path, capsys):
     cfg = write_config(tmp_path, "scenario = lshape\nM = 4\n")
     assert main(["check-mesh", "--config", cfg]) == 0

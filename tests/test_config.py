@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings
 
+from tdglfem.cli import run_manufactured_convergence
 from tdglfem.config import (
     ConfigError,
     OutputOptions,
@@ -9,8 +11,9 @@ from tdglfem.config import (
 )
 from tdglfem.diagnostics import error_norms
 from tdglfem.mesh import format_native
-from tdglfem.scenarios import run_manufactured_convergence
 from tdglfem.stepper import AdaptiveTau, run
+
+from mutations import mutated
 
 
 def test_parse_full_file():
@@ -96,6 +99,30 @@ def test_parse_missing_equals():
 def test_parse_malformed_section():
     with pytest.raises(ConfigError, match="section"):
         parse_config("[run\n")
+
+
+FULL_CONFIG = """\
+[run]
+scenario = lshape
+M = 8
+kappa = 10      # inline comment
+mu = auto
+tau = adaptive
+tau_max = 0.25
+psi0 = 0.6+0.8i
+snapshots = 0, 5, 20
+series_cadence = 10
+strict_acute = true
+"""
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(mutated(FULL_CONFIG))
+def test_parse_config_returns_config_or_config_error(text):
+    try:
+        assert isinstance(parse_config(text), RunConfig)
+    except ConfigError:
+        pass
 
 
 def test_parse_psi0_forms():

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from tdglfem.mesh import (
     EmptyMeshError,
@@ -16,6 +18,9 @@ from tdglfem.mesh import (
     parse_native,
     triangle_angles,
 )
+from tdglfem.scenarios import lshape_mesh
+
+from mutations import mutated
 
 GMSH_SQUARE = """\
 $MeshFormat
@@ -65,17 +70,17 @@ def test_uniform_square_geometry():
 
 
 def test_lshape_counts_and_area():
-    mesh = generate_uniform_square(2, domain="lshape")
+    mesh = lshape_mesh(2)
     assert mesh.num_cells == 6
     assert mesh.cell_areas.sum() == pytest.approx(0.75, abs=1e-14)
-    mesh16 = generate_uniform_square(16, domain="lshape")
+    mesh16 = lshape_mesh(16)
     assert mesh16.cell_areas.sum() == pytest.approx(0.75, abs=1e-12)
     assert mesh16.num_cells == 2 * 16 * 16 * 3 // 4
 
 
 def test_lshape_odd_M_rejected():
     with pytest.raises(ValueError):
-        generate_uniform_square(3, domain="lshape")
+        lshape_mesh(3)
 
 
 def test_rect_domain_and_mask():
@@ -255,6 +260,22 @@ def test_native_truncated():
     text = format_native(generate_uniform_square(1))
     with pytest.raises(MalformedFileError):
         parse_native("\n".join(text.splitlines()[:-1]))
+
+
+NATIVE_L = format_native(lshape_mesh(2))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(mutated(GMSH_SQUARE, NATIVE_L))
+def test_readers_raise_only_file_errors(text):
+    # a mutated file either reads or raises one of the readers' own errors
+    reader = load_gmsh_ascii if text.lstrip().startswith("$") else parse_native
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            reader(text)
+        except (UnsupportedFormatError, MalformedFileError, EmptyMeshError):
+            pass
 
 
 def test_load_mesh_file_sniffs(tmp_path, square2):

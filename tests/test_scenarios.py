@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 import sympy as sym
 
+import tdglfem.scenarios
+from tdglfem.cli import run_manufactured_convergence
+from tdglfem.config import RunConfig
 from tdglfem.scenarios import (
     SCENARIO_NAMES,
+    SCENARIOS,
     holed_square_mesh,
     lshape_mesh,
     manufactured_fields,
-    run_manufactured_convergence,
-    scenario_defaults,
     unit_square_mesh,
 )
-from tdglfem.config import RunConfig
-from tdglfem.stepper import AdaptiveTau
 
 
 def symbolic_forcings(kappa, sigma):
@@ -168,24 +168,39 @@ def test_scenario_names():
 
 
 def test_scenario_defaults_pinned_values():
-    man = scenario_defaults("manufactured")
-    assert man["kappa"] == 1.0 and man["T"] == 1.0
-    lsh = scenario_defaults("lshape")
+    man = SCENARIOS["manufactured"]
+    assert man.defaults["kappa"] == 1.0 and man.defaults["T"] == 1.0
+    assert man.defaults["tau"] == "1/M"
+    assert set(man.fixed) == {"H", "psi0", "mesh_file"}
+    lsh = SCENARIOS["lshape"].defaults
     assert lsh["kappa"] == 10.0 and lsh["H"] == 5.0 and lsh["psi0"] == 0.6 + 0.8j
-    assert isinstance(lsh["tau"], AdaptiveTau)
-    holes = scenario_defaults("square_with_holes")
+    assert lsh["tau"] == "adaptive"
+    holes = SCENARIOS["square_with_holes"].defaults
     assert holes["kappa"] == 4.0 and holes["H"] == 1.1 and holes["T"] == 100.0
+    # custom leaves the keys a config must give
+    assert not {"M", "kappa", "T"} & set(SCENARIOS["custom"].defaults)
 
 
 def test_scenario_defaults_unknown():
-    with pytest.raises((KeyError, ValueError)):
-        scenario_defaults("bogus")
+    assert "bogus" not in SCENARIOS
+    with pytest.raises(KeyError):
+        SCENARIOS["bogus"]
 
 
 def test_scenario_defaults_fresh_copies():
-    a = scenario_defaults("lshape")
-    a["kappa"] = -99.0
-    assert scenario_defaults("lshape")["kappa"] == 10.0
+    # a record shares no mutable defaults: neither it nor its defaults can change
+    lsh = SCENARIOS["lshape"]
+    with pytest.raises(TypeError):
+        lsh.defaults["kappa"] = -99.0
+    with pytest.raises(AttributeError):
+        lsh.description = "changed"
+    assert SCENARIOS["lshape"].defaults["kappa"] == 10.0
+
+
+def test_scenario_builds_mesh_by_name(monkeypatch):
+    # the builder is looked up when called, so a replaced module function is used
+    monkeypatch.setattr(tdglfem.scenarios, "lshape_mesh", lambda M: ("built", M))
+    assert SCENARIOS["lshape"].build_mesh(6) == ("built", 6)
 
 
 # -- convergence driver -----------------------------------------------------------

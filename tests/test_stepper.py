@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,11 +5,12 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import tdglfem.stepper as stepper
+from tdglfem.config import RunConfig, materialize
 from tdglfem.diagnostics import EnergyBreakdown
 from tdglfem.fem import assemble_Lhat, lumped_mass, num_edge_dofs
 from tdglfem.linalg import RECENT_LEVELS
 from tdglfem.mesh import Mesh, generate_uniform_square
-from tdglfem.scenarios import lshape_mesh, manufactured_params, unit_square_mesh
+from tdglfem.scenarios import lshape_mesh, unit_square_mesh
 from tdglfem.stepper import (
     AdaptiveTau,
     BoundViolationError,
@@ -313,8 +313,7 @@ def two_action_step(state, params, A_new, tau):
 @pytest.mark.parametrize("mesh", [unit_square_mesh(8), lshape_mesh(8)], ids=["square8", "lshape8"])
 @pytest.mark.parametrize("tau", [1.0 / 8, 0.2, 1.0])
 def test_step_psi_matches_dense_two_action_step(mesh, tau):
-    params, _ = manufactured_params(1.0, 1.0, 1.0, tau)
-    params = dataclasses.replace(params, mu="auto")
+    params = materialize(RunConfig(scenario="manufactured", M=8, tau=tau, mu="auto")).params
     state = initialize(mesh, params.A0, params.psi0, params)
     A_new = step_A(state, params, tau, tau)
     got = step_psi(state, params, A_new, assemble_Lhat(mesh, A_new, params.kappa), tau)
@@ -376,7 +375,7 @@ def test_run_assembles_Lhat_once_per_level(square4, monkeypatch):
 
 
 def test_energy_decays_lshape_short():
-    mesh = generate_uniform_square(4, domain="lshape")
+    mesh = lshape_mesh(4)
     params = quiet_params(kappa=10.0, T=2.0, tau=0.2, H=5.0, psi0=0.6 + 0.8j)
     with pytest.warns(UserWarning):
         state = run(mesh, params)
