@@ -45,6 +45,13 @@ def _apply_thread_limit(argv) -> None:
         return
 
 
+def _thread_count(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be 1 or more, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tdglfem",
@@ -55,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="integrate one configured scenario")
     p_run.add_argument("--config", required=True, help="path to a config file")
     p_run.add_argument("--out", help="output directory (overrides the config)")
-    p_run.add_argument("--threads", type=int, help="cap BLAS threads")
+    p_run.add_argument("--threads", type=_thread_count, help="cap BLAS threads")
     p_run.add_argument(
         "--strict-acute", action="store_true", help="refuse weakly acute meshes too"
     )
@@ -67,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--resolutions", default="8,16,32,64", help="comma-separated subdivisions per unit"
     )
     p_conv.add_argument("--out", help="output directory for the study table")
-    p_conv.add_argument("--threads", type=int, help="cap BLAS threads")
+    p_conv.add_argument("--threads", type=_thread_count, help="cap BLAS threads")
     p_conv.set_defaults(func=_cmd_convergence)
 
     p_check = sub.add_parser("check-mesh", help="angle and uniformity audit")
@@ -161,7 +168,7 @@ def run_manufactured_convergence(resolutions=(8, 16, 32, 64), cfg=None):
     orders between consecutive resolutions.
     """
     from .config import ConfigError, RunConfig, materialize
-    from .diagnostics import convergence_rates, error_norms
+    from .diagnostics import ERROR_FIELDS, convergence_rates, error_norms
     from .stepper import run
 
     cfg = RunConfig(scenario="manufactured") if cfg is None else cfg
@@ -181,7 +188,7 @@ def run_manufactured_convergence(resolutions=(8, 16, 32, 64), cfg=None):
     hs = [rep.h for rep in reports]
     rates = {
         name: convergence_rates(hs, [getattr(rep, "err_" + name) for rep in reports])
-        for name in ("A", "curl_A", "psi", "grad_psi")
+        for name in ERROR_FIELDS
     }
     return reports, rates
 
@@ -209,9 +216,9 @@ def _cmd_convergence(args) -> int:
     print(header)
     for k, rep in enumerate(reports):
         cells = [f"{round(1 / rep.h):>6}"]
-        for name in ("A", "curl_A", "psi", "grad_psi"):
+        for name, rate in rates.items():  # keyed in ``diagnostics.ERROR_FIELDS`` order
             cells.append(f"{getattr(rep, 'err_' + name):>12.4e}")
-            cells.append(f"{rates[name][k - 1]:>6.2f}" if k else f"{'':>6}")
+            cells.append(f"{rate[k - 1]:>6.2f}" if k else f"{'':>6}")
         print(" ".join(cells))
 
     out = args.out or cfg.out

@@ -176,7 +176,8 @@ def materialize(cfg: RunConfig) -> PreparedRun:
     Every key the config leaves ``None`` takes the scenario's default (see
     ``scenarios.Scenario``). A key with neither must be configured, and a key
     the scenario sets itself may not be. Raises :class:`ConfigError` for such
-    combinations and for parameters the solver rejects.
+    combinations, for parameters the solver rejects and for a snapshot time
+    after ``T``.
     """
     name = cfg.scenario
     scenario = scenarios.SCENARIOS.get(name)
@@ -251,9 +252,13 @@ def materialize(cfg: RunConfig) -> PreparedRun:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
+    snapshots = tuple(cfg.snapshots) if cfg.snapshots else ()
+    if snapshots and max(snapshots) > params.T:
+        raise ConfigError(f"snapshot time {max(snapshots)!r} is after T = {params.T!r}",
+                          key="snapshots")
     output = OutputOptions(
         out=cfg.out,
-        snapshots=tuple(cfg.snapshots) if cfg.snapshots else (),
+        snapshots=snapshots,
         series_cadence=cfg.series_cadence or 1,
     )
     return PreparedRun(mesh=mesh, params=params, output=output, exact=exact)

@@ -14,6 +14,8 @@ exponential step uses. At a uniform state with ``A = 0`` that form rounds to
 within about 1e-14 of zero and can be slightly negative. The modulus bound says
 ``max_i |psi_i| <= 1`` whenever the initial data satisfies it and the
 stabilization shift is large enough; it is checked at every step as well.
+The magnetic term and the errors against a reference solution are squared L2
+norms at the quadrature points, by ``fem.at_quad`` and ``fem.squared_l2``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "EnergyBreakdown",
     "discrete_energy",
     "mbp_stats",
+    "ERROR_FIELDS",
     "ErrorReport",
     "error_norms",
     "convergence_rates",
@@ -59,10 +62,8 @@ def discrete_energy(mesh: Mesh, Lhat, A, psi, H, t: float) -> EnergyBreakdown:
     psi = np.asarray(psi, dtype=complex)
     covariant = -0.5 * float(np.vdot(psi, Lhat @ psi).real)
 
-    _, wdx = fem.quadrature_info(mesh)
-    curls = fem.curl_values(mesh, A)
-    dev = curls[:, None] - fem.scalar_at_quad(mesh, H, t)
-    magnetic = 0.5 * float(np.sum(wdx * dev * dev))
+    curls = fem.curl_values(mesh, A)[:, None]
+    magnetic = 0.5 * fem.squared_l2(mesh, curls - fem.at_quad(mesh, H, t))
 
     d = fem.lumped_mass(mesh)
     moduli2 = np.abs(psi) ** 2
@@ -79,6 +80,10 @@ def mbp_stats(psi) -> tuple[float, int]:
 
 # ---------------------------------------------------------------------------
 # errors against a known solution
+
+
+#: the fields a convergence study measures, in report and table order
+ERROR_FIELDS = ("A", "curl_A", "psi", "grad_psi")
 
 
 @dataclass(frozen=True)
@@ -105,47 +110,17 @@ class ErrorReport:
 def error_norms(mesh: Mesh, A, psi, exact, t: float, *, h: float, tau: float) -> ErrorReport:
     """L2 errors of ``(psi, A)`` against callables bundled in ``exact``.
 
-    ``exact`` provides ``psi(x, y, t)``, ``grad_psi(x, y, t) -> (gx, gy)``,
-    ``A(x, y, t) -> (ax, ay)`` and ``curl_A(x, y, t)``.
+    ``exact`` provides one callable of ``(x, y, t)`` per name in
+    :data:`ERROR_FIELDS`: ``A`` and ``grad_psi`` return component pairs.
     """
-    qpts, wdx = fem.quadrature_info(mesh)
-    x, y = qpts[:, :, 0], qpts[:, :, 1]
-
-    A_q, curls = fem.evaluate_edge(mesh, A)
-    psi_q, grad_psi = fem.evaluate_nodal(mesh, psi)
-
-    ax, ay = exact.A(x, y, t)
-    dev = np.stack([A_q[:, :, 0] - ax, A_q[:, :, 1] - ay], axis=2)
-    err_A = math.sqrt(np.sum(wdx * np.einsum("cqa,cqa->cq", dev, dev)))
-    norm_A = math.sqrt(np.sum(wdx * (np.asarray(ax) ** 2 + np.asarray(ay) ** 2)))
-
-    curl_exact = np.broadcast_to(np.asarray(exact.curl_A(x, y, t), dtype=float), wdx.shape)
-    dev_c = curls[:, None] - curl_exact
-    err_curl = math.sqrt(np.sum(wdx * dev_c * dev_c))
-    norm_curl = math.sqrt(np.sum(wdx * curl_exact * curl_exact))
-
-    psi_exact = np.asarray(exact.psi(x, y, t), dtype=complex)
-    dev_p = psi_q - psi_exact
-    err_psi = math.sqrt(np.sum(wdx * np.abs(dev_p) ** 2))
-    norm_psi = math.sqrt(np.sum(wdx * np.abs(psi_exact) ** 2))
-
-    gx, gy = exact.grad_psi(x, y, t)
-    dev_g = np.abs(grad_psi[:, None, 0] - gx) ** 2 + np.abs(grad_psi[:, None, 1] - gy) ** 2
-    err_grad = math.sqrt(np.sum(wdx * dev_g))
-    norm_grad = math.sqrt(np.sum(wdx * (np.abs(gx) ** 2 + np.abs(gy) ** 2)))
-
-    return ErrorReport(
-        h=h,
-        tau=tau,
-        err_A=err_A,
-        err_curl_A=err_curl,
-        err_psi=err_psi,
-        err_grad_psi=err_grad,
-        norm_A=norm_A,
-        norm_curl_A=norm_curl,
-        norm_psi=norm_psi,
-        norm_grad_psi=norm_grad,
-    )
+    A_q, curl = fem.evaluate_edge(mesh, A)
+    psi_q, grad = fem.evaluate_nodal(mesh, psi)
+    report = {"h": h, "tau": tau}
+    for name, discrete in zip(ERROR_FIELDS, (A_q, curl, psi_q, grad)):
+        ref = fem.at_quad(mesh, getattr(exact, name), t)
+        report["err_" + name] = math.sqrt(fem.squared_l2(mesh, discrete - ref))
+        report["norm_" + name] = math.sqrt(fem.squared_l2(mesh, ref))
+    return ErrorReport(**report)
 
 
 def convergence_rates(hs, errors) -> list[float]:

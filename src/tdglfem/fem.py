@@ -29,6 +29,11 @@ t_j)``, with ``W`` the cell's 3x3 nodal weights and ``t`` the dual basis of
 the edge tangents at the corner. The maps, scatters and sparsity patterns
 are built once per mesh and cached (keyed on mesh identity).
 
+Closed-form fields reach the quadrature points only through ``at_quad``, as
+(nc, nq) or, components first, (2, nc, nq); ``squared_l2`` integrates them.
+``evaluate_edge`` and ``evaluate_nodal`` use the same layout, so differences
+broadcast.
+
 The edge-space solves (the vector-potential step and the Ritz projection)
 are preconditioned with ``P_c = c diag(M) + K``. The curl-curl matrix
 ``K = C^T D C`` has rank at most ``n_cells`` (``C`` is the sparse matrix of
@@ -73,8 +78,8 @@ __all__ = [
     "edge_max_norm",
     "evaluate_edge",
     "evaluate_nodal",
-    "quadrature_info",
-    "scalar_at_quad",
+    "at_quad",
+    "squared_l2",
     "num_edge_dofs",
 ]
 
@@ -492,19 +497,25 @@ def assemble_A_system(mesh: Mesh, psi, sigma: float, tau: float) -> sp.csr_matri
     return ops.edge_pattern.csr_from_data(data)
 
 
-def scalar_at_quad(mesh: Mesh, value, *args) -> np.ndarray:
-    """Constant or callable ``f(x, y, *args)`` at the quadrature points, (nc, nq)."""
+def at_quad(mesh: Mesh, f, *args) -> np.ndarray:
+    """A real constant, or a callable ``f(x, y, *args)`` returning a value or a
+    pair of components, at the quadrature points: (nc, nq), or (2, nc, nq) for
+    a pair, in the dtype the callable returns."""
     ops = _ops(mesh)
-    if callable(value):
-        out = value(ops.qpts[:, :, 0], ops.qpts[:, :, 1], *args)
-        return np.broadcast_to(np.asarray(out, dtype=float), ops.wdx.shape)
-    return np.full_like(ops.wdx, float(value))
-
-
-def _vector_at_quad(ops: _MeshOps, func, *args) -> np.ndarray:
-    """Callable ``f(x, y, *args) -> (fx, fy)`` at the quadrature points, (2, nc, nq)."""
     x, y = ops.qpts[:, :, 0], ops.qpts[:, :, 1]
-    return np.array(np.broadcast_arrays(*func(x, y, *args), x)[:2], dtype=float)
+    if not callable(f):
+        return np.full_like(ops.wdx, float(f))
+    value = f(x, y, *args)
+    if isinstance(value, tuple):
+        return np.array(np.broadcast_arrays(*value, x)[:2])
+    return np.broadcast_to(value, x.shape)
+
+
+def squared_l2(mesh: Mesh, u) -> float:
+    """``integral(|u|^2)`` of a real or complex field at the quadrature points:
+    anything that broadcasts against (nc, nq), such as :func:`at_quad` and
+    :func:`evaluate_edge` values and their differences."""
+    return float(np.sum(_ops(mesh).wdx * u * np.conj(u)).real)
 
 
 def assemble_A_rhs(
@@ -533,9 +544,9 @@ def assemble_A_rhs(
     pm = (_M2 @ p) * (ops.area / kappa)
     moments = (ops.gradients(p)[:, None] * np.conj(pm)).imag
     if forcing is not None:
-        moments += ops.moments(_vector_at_quad(ops, forcing, t))
+        moments += ops.moments(at_quad(mesh, forcing, t))
     rhs = (sigma / tau) * (ops.mass @ np.asarray(A_prev, dtype=float))
-    return rhs + ops.curl_load(scalar_at_quad(mesh, H, t)) + ops.cmap.T @ moments.ravel()
+    return rhs + ops.curl_load(at_quad(mesh, H, t)) + ops.cmap.T @ moments.ravel()
 
 
 def ritz_projection(mesh: Mesh, A_func, curl_func) -> np.ndarray:
@@ -547,8 +558,8 @@ def ritz_projection(mesh: Mesh, A_func, curl_func) -> np.ndarray:
     from .linalg import cg_solve
 
     ops = _ops(mesh)
-    rhs = ops.cmap.T @ ops.moments(_vector_at_quad(ops, A_func)).ravel()
-    rhs = rhs + ops.curl_load(scalar_at_quad(mesh, curl_func))
+    rhs = ops.cmap.T @ ops.moments(at_quad(mesh, A_func)).ravel()
+    rhs = rhs + ops.curl_load(at_quad(mesh, curl_func))
     system = ops.edge_pattern.csr_from_data(ops._curl_data + ops._edge_mass_data)
     return cg_solve(system, rhs, precond=ops.curl_preconditioner(1.0, 1.0)).x
 
@@ -591,20 +602,15 @@ def edge_max_norm(mesh: Mesh, A) -> float:
 
 
 def evaluate_edge(mesh: Mesh, A):
-    """Edge field at quadrature points, (nc, nq, 2), plus per-cell curls."""
+    """Edge field at the quadrature points, (2, nc, nq), and its per-cell curls, (nc, 1)."""
     ops = _ops(mesh)
     A = np.asarray(A, dtype=float)
-    return (POINTS @ ops.corners(A)).T, ops.curl @ A
+    return (POINTS @ ops.corners(A)).transpose(0, 2, 1), (ops.curl @ A)[:, None]
 
 
 def evaluate_nodal(mesh: Mesh, psi):
-    """Nodal field values at quadrature points, (nc, nq), plus per-cell gradients, (nc, 2)."""
+    """Nodal field at the quadrature points, (nc, nq), and its per-cell gradients, (2, nc, 1)."""
     ops = _ops(mesh)
     p = np.asarray(psi, dtype=complex)[ops.corner_vertices]
-    return (POINTS @ p).T, ops.gradients(p).T
+    return (POINTS @ p).T, ops.gradients(p)[:, :, None]
 
-
-def quadrature_info(mesh: Mesh):
-    """Quadrature points (nc, nq, 2) and weights-times-area (nc, nq)."""
-    ops = _ops(mesh)
-    return ops.qpts, ops.wdx

@@ -10,10 +10,9 @@ matrix, ``P_c`` bounds the condition number by ``15.4 (1 + tau/sigma)``
 on the built-in meshes, whatever ``h``: about 50 iterations from zero to ``1e-12``, and
 about 25 on ``holed8`` from :meth:`RecentSpan.start`, the energy-norm best point in the
 span of the last ``RECENT_LEVELS`` solutions (Fischer, CMAME 1998).
-A fixed cost rule takes vertex-block Jacobi instead (the blocks of ``c M +
-K`` over the dofs at each vertex) where its cheaper iterations win: when
-``sqrt(1 + rho) <= 1 + 4 n_cells (bw + 1) / nnz``, with ``rho = (tau/sigma)
-tr(K) / tr(M)`` and ``bw`` the band width of the cell-space factor.
+Where its cheaper iterations win, vertex-block Jacobi (the blocks of ``c M +
+K`` over the dofs at each vertex) is used instead, by the fixed cost rule of
+``fem.A_system_preconditioner``.
 
 The order-parameter step needs one action ``phi1(tau L) r`` per step, where
 ``L = D^{-1} Lhat - mu I`` is similar to the Hermitian matrix ``S = D^{-1/2}

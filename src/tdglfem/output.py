@@ -12,6 +12,7 @@ import os
 import numpy as np
 
 from . import fem
+from .diagnostics import ERROR_FIELDS
 from .mesh import Mesh
 
 __all__ = [
@@ -117,13 +118,11 @@ def write_vtk_snapshot(path, mesh: Mesh, A, psi, t: float) -> None:
     _write(path, format_vtk_snapshot(mesh, A, psi, t))
 
 
-CONVERGENCE_HEADER = (
-    "one_over_h,h,tau,"
-    "err_A,rate_A,err_curl_A,rate_curl_A,err_psi,rate_psi,err_grad_psi,rate_grad_psi,"
-    "rel_err_A,rel_err_curl_A,rel_err_psi,rel_err_grad_psi"
+CONVERGENCE_HEADER = ",".join(
+    ["one_over_h", "h", "tau"]
+    + [f"{kind}_{name}" for name in ERROR_FIELDS for kind in ("err", "rate")]
+    + ["rel_err_" + name for name in ERROR_FIELDS]
 )
-
-_RATE_NAMES = ("A", "curl_A", "psi", "grad_psi")
 
 
 def format_convergence_csv(reports, rates: dict) -> str:
@@ -136,10 +135,10 @@ def format_convergence_csv(reports, rates: dict) -> str:
     lines = [CONVERGENCE_HEADER]
     for k, rep in enumerate(reports):
         cells = [repr(round(1.0 / rep.h)), repr(float(rep.h)), repr(float(rep.tau))]
-        for name in _RATE_NAMES:
+        for name in ERROR_FIELDS:
             cells.append(repr(float(getattr(rep, "err_" + name))))
             cells.append("" if k == 0 else repr(float(rates[name][k - 1])))
-        for name in _RATE_NAMES:
+        for name in ERROR_FIELDS:
             cells.append(repr(float(rep.relative(name))))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

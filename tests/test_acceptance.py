@@ -16,10 +16,11 @@ import pytest
 from tdglfem.cli import run_manufactured_convergence
 from tdglfem.fem import (
     assemble_Lhat,
+    at_quad,
     evaluate_edge,
     lumped_mass,
-    quadrature_info,
     ritz_projection,
+    squared_l2,
 )
 from tdglfem.linalg import PHI_TOL, phi_apply
 from tdglfem.output import format_timeseries_csv
@@ -164,16 +165,9 @@ def test_criterion_5_ritz_rates(report):
     for M in (8, 16, 32):
         mesh = unit_square_mesh(M)
         u = ritz_projection(mesh, A_func, curl_func)
-        qpts, wdx = quadrature_info(mesh)
-        x, y = qpts[:, :, 0], qpts[:, :, 1]
         A_q, curls = evaluate_edge(mesh, u)
-        ax, ay = A_func(x, y)
-        errs_l2.append(math.sqrt(np.sum(
-            wdx * ((A_q[:, :, 0] - ax) ** 2 + (A_q[:, :, 1] - ay) ** 2)
-        )))
-        errs_curl.append(math.sqrt(np.sum(
-            wdx * (curls[:, None] - curl_func(x, y)) ** 2
-        )))
+        errs_l2.append(math.sqrt(squared_l2(mesh, A_q - at_quad(mesh, A_func))))
+        errs_curl.append(math.sqrt(squared_l2(mesh, curls - at_quad(mesh, curl_func))))
     rate_l2 = min(np.log2(np.array(errs_l2[:-1]) / errs_l2[1:]))
     rate_curl = min(np.log2(np.array(errs_curl[:-1]) / errs_curl[1:]))
     ok = 1.8 <= rate_l2 <= 2.2 and 0.8 <= rate_curl <= 1.2

@@ -4,6 +4,7 @@ import subprocess
 import numpy as np
 import pytest
 
+import tdglfem.config
 import tdglfem.linalg
 import tdglfem.scenarios
 import tdglfem.stepper
@@ -169,6 +170,29 @@ def test_run_rejects_bad_series_cadence_before_meshing(tmp_path, capsys, monkeyp
                                  f"series_cadence = 0\nout = {tmp_path / 'r'}\n")
     assert main(["run", "--config", cfg]) == 2
     assert "series_cadence must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("argv", [["run", "--config", "run.cfg"], ["convergence"]],
+                         ids=["run", "convergence"])
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_usage_error(capsys, monkeypatch, argv, threads):
+    def never(*args, **kwargs):
+        raise AssertionError("the command started")
+
+    monkeypatch.setattr(tdglfem.config, "materialize", never)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", threads])
+    assert exc.value.code == 2
+    assert f"must be 1 or more, got {threads}" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_run_rejects_snapshot_after_T(tmp_path, capsys):
+    cfg = write_config(tmp_path, f"scenario = lshape\nM = 4\nT = 0.1\nsnapshots = 5\n"
+                                 f"out = {tmp_path / 'r'}\n")
+    assert main(["run", "--config", cfg]) == 2
+    assert "snapshot time 5.0 is after T = 0.1" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 

@@ -238,6 +238,14 @@ def test_manufactured_params_single_source():
     assert report == run_manufactured_convergence((8, 16))[0][0]
 
 
+def test_materialize_rejects_snapshot_after_T():
+    with pytest.raises(ConfigError, match=r"snapshot time 5\.0 is after T = 0\.1") as exc:
+        materialize(parse_config("scenario = lshape\nM = 4\nT = 0.1\nsnapshots = 0, 5\n"))
+    assert exc.value.key == "snapshots"
+    run = materialize(parse_config("scenario = lshape\nM = 4\nT = 0.1\nsnapshots = 0, 0.1\n"))
+    assert run.output.snapshots == (0.0, 0.1)
+
+
 def test_materialize_output_options():
     run = materialize(parse_config(
         "scenario = lshape\nM = 4\nout = somewhere\nsnapshots = 1,2\nseries_cadence = 7\n"

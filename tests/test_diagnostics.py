@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tdglfem.diagnostics import (
+    ERROR_FIELDS,
     EnergyBreakdown,
     convergence_rates,
     discrete_energy,
@@ -86,6 +87,23 @@ def test_error_norms_zero_for_representable(square2):
     assert rep.err_grad_psi < 1e-13
     assert rep.norm_A > 0
     assert rep.h == 0.5 and rep.tau == 0.1
+
+
+def test_error_norms_constant_exact(square2):
+    # Python constants from every callable, matched exactly by the discrete fields
+    exact = ExactSolution(psi=lambda x, y, t: 0.6 + 0.8j, grad_psi=lambda x, y, t: (0.0, 0.0),
+                          A=lambda x, y, t: (2.0, -1.0), curl_A=lambda x, y, t: 0.0,
+                          H=lambda x, y, t: 0.0)
+    A = interpolate_edge(square2, lambda x, y: (2.0 + 0 * x, -1.0 + 0 * y))
+    psi = np.full(square2.num_vertices, 0.6 + 0.8j)
+    rep = error_norms(square2, A, psi, exact, 0.0, h=0.5, tau=0.1)
+    area = square2.cell_areas.sum()
+    for name in ERROR_FIELDS:
+        assert getattr(rep, "err_" + name) < 1e-13
+        assert math.isfinite(getattr(rep, "norm_" + name))
+    assert rep.norm_A == pytest.approx(math.sqrt(5 * area), rel=1e-14)
+    assert rep.norm_psi == pytest.approx(math.sqrt(area), rel=1e-14)
+    assert rep.norm_curl_A == rep.norm_grad_psi == 0.0
 
 
 def test_error_norms_relative(square2):

@@ -12,6 +12,7 @@ from tdglfem.fem import (
     assemble_A_rhs,
     assemble_A_system,
     assemble_Lhat,
+    at_quad,
     corner_values,
     curl_values,
     edge_max_norm,
@@ -20,8 +21,8 @@ from tdglfem.fem import (
     interpolate_nodal,
     lumped_mass,
     num_edge_dofs,
-    quadrature_info,
     ritz_projection,
+    squared_l2,
 )
 from tdglfem.mesh import Mesh, generate_uniform_square
 from tdglfem.scenarios import holed_square_mesh, lshape_mesh, unit_square_mesh
@@ -107,20 +108,35 @@ def test_stiffness_kills_constants(square2):
 
 
 def test_interpolate_nodal_linear_exact(square2):
-    psi = interpolate_nodal(square2, lambda x, y: 2 * x - y + 1j * (x + y))
-    vals, grads = evaluate_nodal(square2, psi)
-    qpts, _ = quadrature_info(square2)
-    np.testing.assert_allclose(
-        vals, 2 * qpts[..., 0] - qpts[..., 1] + 1j * (qpts[..., 0] + qpts[..., 1]),
-        atol=1e-14,
-    )
-    np.testing.assert_allclose(grads[..., 0], 2 + 1j, atol=1e-14)
-    np.testing.assert_allclose(grads[..., 1], -1 + 1j, atol=1e-14)
+    field = lambda x, y: 2 * x - y + 1j * (x + y)
+    vals, grads = evaluate_nodal(square2, interpolate_nodal(square2, field))
+    np.testing.assert_allclose(vals, at_quad(square2, field), atol=1e-14)
+    assert grads.shape == (2, square2.num_cells, 1)
+    np.testing.assert_allclose(grads[0], 2 + 1j, atol=1e-14)
+    np.testing.assert_allclose(grads[1], -1 + 1j, atol=1e-14)
 
 
-def test_quadrature_info_weights(square2):
-    _, wdx = quadrature_info(square2)
-    np.testing.assert_allclose(wdx.sum(axis=1), square2.cell_areas, atol=1e-15)
+def test_squared_l2_weights(square2, rng):
+    # a per-cell constant w, as (nc, 1), integrates to sum(w^2 area)
+    w = rng.standard_normal((square2.num_cells, 1))
+    assert squared_l2(square2, w) == pytest.approx(w[:, 0] ** 2 @ square2.cell_areas, rel=1e-14)
+    assert squared_l2(square2, 1j * w) == pytest.approx(squared_l2(square2, w), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "value", [2.5, (1.5, -2.0), 0.5 - 1j, (1j, 2.0 + 0j)],
+    ids=["scalar", "pair", "complex", "complex-pair"],
+)
+def test_at_quad_constant_matches_array(square2, value):
+    # a callable returning Python constants gives what one returning full arrays gives
+    if isinstance(value, tuple):
+        full, shape = (lambda x, y: tuple(c + 0 * x for c in value)), (2, square2.num_cells, 6)
+    else:
+        full, shape = (lambda x, y: value + 0 * x), (square2.num_cells, 6)
+    got, ref = at_quad(square2, lambda x, y: value), at_quad(square2, full)
+    assert got.shape == ref.shape == shape
+    assert got.dtype == ref.dtype == np.asarray(value).dtype
+    np.testing.assert_array_equal(got, ref)
 
 
 def test_lumped_product_identity(square4, rng):
@@ -178,10 +194,7 @@ def test_num_edge_dofs(square2):
 def test_edge_interpolation_linear_exact(square2, field, curl):
     A = interpolate_edge(square2, field)
     A_q, curls = evaluate_edge(square2, A)
-    qpts, _ = quadrature_info(square2)
-    fx, fy = field(qpts[..., 0], qpts[..., 1])
-    np.testing.assert_allclose(A_q[..., 0], fx, atol=1e-13)
-    np.testing.assert_allclose(A_q[..., 1], fy, atol=1e-13)
+    np.testing.assert_allclose(A_q, at_quad(square2, field), atol=1e-13)
     np.testing.assert_allclose(curls, curl, atol=1e-13)
     np.testing.assert_allclose(curl_values(square2, A), curl, atol=1e-13)
 
@@ -210,9 +223,7 @@ def test_edge_mass_integrates(square2):
     A = interpolate_edge(square2, lambda x, y: (x - 2 * y, y + 1))
     M = edge_mass(square2)
     A_q, _ = evaluate_edge(square2, A)
-    _, wdx = quadrature_info(square2)
-    direct = np.sum(wdx * (A_q**2).sum(axis=-1))
-    assert A @ (M @ A) == pytest.approx(direct, rel=1e-13)
+    assert A @ (M @ A) == pytest.approx(squared_l2(square2, A_q), rel=1e-13)
 
 
 def test_curl_curl_matrix(square2):
@@ -259,11 +270,9 @@ def test_Lhat_hermitian(square4, rng, kappa):
 
 def quadrature_seminorm(mesh, A, psi, kappa):
     """``||((i/kappa) grad + A) psi||^2`` integrated by the degree-4 rule."""
-    _, wdx = quadrature_info(mesh)
     A_q, _ = evaluate_edge(mesh, A)
     vals, grad = evaluate_nodal(mesh, psi)
-    P_q = (1j / kappa) * grad[:, None, :] + A_q * vals[:, :, None]
-    return float(np.sum(wdx * np.einsum("cqa,cqa->cq", P_q, np.conj(P_q)).real))
+    return squared_l2(mesh, (1j / kappa) * grad + A_q * vals)
 
 
 @pytest.mark.parametrize(
@@ -385,8 +394,10 @@ def test_ritz_load_matches_quadrature(mesh, monkeypatch, part):
 def test_evaluation_matches_quadrature(mesh, rng):
     A = rng.standard_normal(num_edge_dofs(mesh))
     psi = unit_random_psi(mesh, rng)
-    for got, ref in zip(evaluate_edge(mesh, A) + evaluate_nodal(mesh, psi),
-                        oracles.edge_at_quad(mesh, A) + oracles.nodal_at_quad(mesh, psi)):
+    (A_q, curls), (psi_q, grads) = oracles.edge_at_quad(mesh, A), oracles.nodal_at_quad(mesh, psi)
+    # the oracle is cell-first; fem puts the components first, with a quadrature axis of 1
+    refs = (np.moveaxis(A_q, -1, 0), curls[:, None], psi_q, grads.T[:, :, None])
+    for got, ref in zip(evaluate_edge(mesh, A) + evaluate_nodal(mesh, psi), refs):
         assert got.shape == ref.shape
         assert relative_gap(got, ref) <= 1e-13
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tdglfem.fem import quadrature_info
+from tdglfem.fem import at_quad
 from tdglfem.quadrature import POINTS, WEIGHTS
 
 
@@ -42,7 +42,7 @@ def test_degree4_not_exact_beyond():
 def test_physical_points_affine_map(square2):
     # each point is its barycentric combination of its cell's vertices, and
     # the symmetric rule keeps the centroid
-    qpts, _ = quadrature_info(square2)
+    qpts = np.moveaxis(at_quad(square2, lambda x, y: (x, y)), 0, -1)  # (nc, nq, 2)
     tri = square2.vertices[square2.cells]
     np.testing.assert_allclose(qpts, POINTS @ tri, atol=1e-14)
     np.testing.assert_allclose(WEIGHTS @ qpts, tri.mean(axis=1), atol=1e-14)
