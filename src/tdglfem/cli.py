@@ -31,20 +31,6 @@ _THREAD_VARS = (
 )
 
 
-def _apply_thread_limit(argv) -> None:
-    for k, arg in enumerate(argv):
-        if arg == "--threads" and k + 1 < len(argv):
-            value = argv[k + 1]
-        elif arg.startswith("--threads="):
-            value = arg.split("=", 1)[1]
-        else:
-            continue
-        if value.isdigit() and int(value) >= 1:
-            for var in _THREAD_VARS:
-                os.environ[var] = value
-        return
-
-
 def _thread_count(raw: str) -> int:
     value = int(raw)
     if value < 1:
@@ -144,11 +130,10 @@ def _cmd_run(args) -> int:
         f"magnetic {final.magnetic:.4g}, potential {final.potential:.4g})"
     )
     print(f"max |psi| = {final.max_psi:.12g}")
-    if state.energy_violations or state.mbp_violations:
-        print(
-            f"violations: energy {len(state.energy_violations)}, "
-            f"modulus bound {len(state.mbp_violations)}"
-        )
+    if state.violations:
+        checks = [check for _, check, _ in state.violations]
+        print(f"violations: energy {checks.count('energy')}, "
+              f"modulus bound {checks.count('modulus')}")
     print(f"wrote {out_dir}/series.csv and {out_dir}/final.vtk")
     return 0
 
@@ -281,24 +266,22 @@ def _cmd_scenarios(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_thread_limit(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    if getattr(args, "threads", None):  # only ``run`` and ``convergence`` take it
+        for var in _THREAD_VARS:
+            os.environ[var] = str(args.threads)
 
     from .config import ConfigError
     from .linalg import ConvergenceError
     from .mesh import EmptyMeshError, MalformedFileError, UnsupportedFormatError
-    from .stepper import BoundViolationError, EnergyViolationError, NonFiniteStateError
+    from .stepper import NonFiniteStateError, ViolationError
 
     try:
         return args.func(args)
     except (ConfigError, UnsupportedFormatError, MalformedFileError, EmptyMeshError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (
-        ConvergenceError, EnergyViolationError, BoundViolationError, NonFiniteStateError, ValueError
-    ) as exc:
+    except (ConvergenceError, ViolationError, NonFiniteStateError, ValueError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
 

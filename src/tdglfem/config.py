@@ -58,8 +58,7 @@ class RunConfig:
     snapshots: tuple | None = None
     series_cadence: int | None = None
     strict_acute: bool = False
-    energy_check: str | None = None
-    mbp_check: str | None = None
+    checks: str | None = None
 
 
 def _parse_bool(raw, key):
@@ -122,8 +121,7 @@ _PARSERS: dict[str, Callable] = {
     "snapshots": _parse_snapshots,
     "series_cadence": _parse_int,
     "strict_acute": _parse_bool,
-    "energy_check": lambda raw, key: raw,
-    "mbp_check": lambda raw, key: raw,
+    "checks": lambda raw, key: raw,
 }
 
 

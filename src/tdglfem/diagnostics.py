@@ -29,7 +29,6 @@ from . import fem
 from .mesh import Mesh
 
 __all__ = [
-    "EnergyBreakdown",
     "discrete_energy",
     "mbp_stats",
     "ERROR_FIELDS",
@@ -39,21 +38,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Free-energy split: covariant kinetic, magnetic, potential, and total."""
-
-    covariant: float
-    magnetic: float
-    potential: float
-
-    @property
-    def total(self) -> float:
-        return self.covariant + self.magnetic + self.potential
-
-
-def discrete_energy(mesh: Mesh, Lhat, A, psi, H, t: float) -> EnergyBreakdown:
-    """Evaluate the discrete free energy of the pair ``(psi, A)`` at time ``t``.
+def discrete_energy(mesh: Mesh, Lhat, A, psi, H, t: float) -> tuple[float, float, float]:
+    """The discrete free energy of the pair ``(psi, A)`` at time ``t``, split
+    as ``(covariant, magnetic, potential)``; the energy is their sum in that order.
 
     ``Lhat`` must be :func:`fem.assemble_Lhat` at ``A`` (and the run's
     ``kappa``); the covariant part is ``-1/2 Re(psi^H Lhat psi)``, which the
@@ -68,7 +55,7 @@ def discrete_energy(mesh: Mesh, Lhat, A, psi, H, t: float) -> EnergyBreakdown:
     d = fem.lumped_mass(mesh)
     moduli2 = np.abs(psi) ** 2
     potential = 0.25 * float(np.sum(d * (moduli2 - 1.0) ** 2))
-    return EnergyBreakdown(covariant, magnetic, potential)
+    return covariant, magnetic, potential
 
 
 def mbp_stats(psi) -> tuple[float, int]:

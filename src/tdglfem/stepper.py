@@ -26,7 +26,8 @@ The shift ``mu`` makes ``L`` negative definite; any ``mu >= 1`` gives
 energy dissipation for stationary applied field, and a large enough ``mu``
 (the auto policy scales with ``||A||_inf^2``) keeps ``max |psi_i| <= 1``
 when the initial data satisfies it. Both properties are verified at runtime
-on every step rather than assumed.
+on every step rather than assumed, after the step is checked to be finite:
+``params.checks`` makes a failed check warn, abort or be skipped.
 
 Step size is either fixed or adapted from the recent energy slope,
 ``tau = max(tau_min, tau_max / sqrt(1 + alpha |dG/tau_prev|^2))``,
@@ -46,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from . import fem
-from .diagnostics import EnergyBreakdown, discrete_energy, mbp_stats
+from .diagnostics import discrete_energy, mbp_stats
 from .linalg import PHI_TOL, ConvergenceError, RecentSpan, cg_solve, phi_apply
 from .mesh import Mesh, audit_mesh
 
@@ -55,8 +56,7 @@ __all__ = [
     "SchemeParams",
     "TimeSeriesRow",
     "SimulationState",
-    "EnergyViolationError",
-    "BoundViolationError",
+    "ViolationError",
     "NonFiniteStateError",
     "initialize",
     "step_A",
@@ -81,12 +81,8 @@ MU_SAFETY = 2.0
 ADAPTIVE_SNAP = 0.02
 
 
-class EnergyViolationError(RuntimeError):
-    """Energy grew between accepted steps while dissipation was guaranteed."""
-
-
-class BoundViolationError(RuntimeError):
-    """A nodal modulus exceeded 1 while the bound was guaranteed."""
+class ViolationError(RuntimeError):
+    """A step broke a guarantee that applied: energy decay or the modulus bound."""
 
 
 class NonFiniteStateError(RuntimeError):
@@ -133,7 +129,9 @@ class SchemeParams:
     callables ``(A(x, y), curl_A(x, y))`` projected at startup. Optional forcings make a manufactured problem: ``forcing_A(x,
     y, t) -> (fx, fy)`` enters the potential step, ``forcing_psi(x, y, t)``
     the exponential step; their presence disables the energy monotonicity
-    check (dissipation is not guaranteed for a driven system). Every numeric
+    check (dissipation is not guaranteed for a driven system). ``checks`` is
+    what a failed energy or modulus check does: ``warn``, ``abort`` or
+    ``off`` (neither check runs). Every numeric
     value, ``H`` and ``psi0`` included, must be finite, and no step (a fixed
     ``tau`` or an adaptive ``tau_min``) may be shorter than the time loop's
     resolution ``1e-9 max(1, T)``.
@@ -150,8 +148,7 @@ class SchemeParams:
     forcing_A: Callable | None = None
     forcing_psi: Callable | None = None
     strict_acute: bool = False
-    energy_check: str = "warn"  # warn | abort | off
-    mbp_check: str = "warn"  # warn | abort | off
+    checks: str = "warn"  # warn | abort | off
 
     def __post_init__(self):
         _require_finite(kappa=self.kappa, T=self.T, tau=self.tau, sigma=self.sigma,
@@ -174,9 +171,8 @@ class SchemeParams:
             raise ValueError(
                 f"step {shortest!r} is below the time resolution 1e-9 max(1, T) of the run"
             )
-        for name in ("energy_check", "mbp_check"):
-            if getattr(self, name) not in ("warn", "abort", "off"):
-                raise ValueError(f"{name} must be one of warn, abort, off")
+        if self.checks not in ("warn", "abort", "off"):
+            raise ValueError("checks must be one of warn, abort, off")
 
     @property
     def dissipation_guaranteed(self) -> bool:
@@ -194,26 +190,32 @@ class TimeSeriesRow:
 
     t: float
     tau: float
-    total: float
     covariant: float
     magnetic: float
     potential: float
     max_psi: float
 
+    @property
+    def total(self) -> float:
+        return self.covariant + self.magnetic + self.potential
+
 
 @dataclass
 class SimulationState:
-    """Full solver state after ``n`` accepted steps at time ``t``."""
+    """Full solver state after ``n`` accepted steps at time ``t``.
+
+    ``violations`` holds one ``(t, check, value)`` per failed check, with
+    ``check`` ``"energy"`` (``value`` the new energy) or ``"modulus"``
+    (``value`` the largest nodal modulus).
+    """
 
     mesh: Mesh
     A: np.ndarray
     psi: np.ndarray
     t: float = 0.0
     n: int = 0
-    tau_current: float = math.nan
     history: list[TimeSeriesRow] = field(default_factory=list)
-    energy_violations: list[tuple[float, float, float]] = field(default_factory=list)
-    mbp_violations: list[tuple[float, float]] = field(default_factory=list)
+    violations: list[tuple[float, str, float]] = field(default_factory=list)
     mbp_guaranteed: bool = True
     recent: RecentSpan = field(init=False, repr=False)
 
@@ -221,24 +223,10 @@ class SimulationState:
         self.recent = RecentSpan(len(self.A))
         self.recent.push(self.A)
 
-    @property
-    def step_energies(self) -> list[float]:
-        """Energies after each accepted step (initial state excluded)."""
-        return [row.total for row in self.history[1:]]
-
 
 def _energy_row(mesh: Mesh, params: SchemeParams, Lhat, A, psi, t, tau) -> TimeSeriesRow:
-    energy: EnergyBreakdown = discrete_energy(mesh, Lhat, A, psi, params.H, t)
-    max_mod, _ = mbp_stats(psi)
-    return TimeSeriesRow(
-        t=t,
-        tau=tau,
-        total=energy.total,
-        covariant=energy.covariant,
-        magnetic=energy.magnetic,
-        potential=energy.potential,
-        max_psi=max_mod,
-    )
+    energy = discrete_energy(mesh, Lhat, A, psi, params.H, t)
+    return TimeSeriesRow(t, tau, *energy, max_psi=mbp_stats(psi)[0])
 
 
 def initialize(mesh: Mesh, A0, psi0, params: SchemeParams) -> SimulationState:
@@ -366,28 +354,21 @@ def step_psi(state: SimulationState, params: SchemeParams, A_new, Lhat, tau: flo
     return psi - tau * phi_apply(Lhat, d, mu, tau, r, atol=PHI_TOL * min(r_norm, psi_norm / tau))
 
 
-def adaptive_tau(step_energies, tau_prev: float, policy: AdaptiveTau) -> float:
+def adaptive_tau(energies, tau_prev: float, policy: AdaptiveTau) -> float:
     """Next step size from the last recorded energy slope.
 
-    ``step_energies`` holds the energies after each accepted step; with
-    fewer than two entries the controller is still starting up and returns
-    ``tau_min``.
+    ``energies`` holds the energies after the latest accepted steps, oldest
+    first, and ``tau_prev`` the last step; only the last two energies are
+    read. With fewer than two the controller is still starting up and
+    returns ``tau_min``.
     """
-    if len(step_energies) < 2:
+    if len(energies) < 2:
         return policy.tau_min
-    slope = (step_energies[-1] - step_energies[-2]) / tau_prev
+    slope = (energies[-1] - energies[-2]) / tau_prev
     tau = policy.tau_max / math.sqrt(1.0 + policy.alpha * slope * slope)
     if tau >= (1.0 - ADAPTIVE_SNAP) * policy.tau_max:
         tau = policy.tau_max
     return max(policy.tau_min, tau)
-
-
-def _handle(kind: str, mode: str, message: str):
-    if mode == "off":
-        return
-    if mode == "abort":
-        raise (EnergyViolationError if kind == "energy" else BoundViolationError)(message)
-    warnings.warn(message, stacklevel=3)
 
 
 def run(
@@ -403,8 +384,10 @@ def run(
     first accepted step reaching it (and immediately for times at or below
     zero). The returned state carries the full per-step time series and any
     recorded violations; whether violations warn or abort is set by
-    ``params.energy_check`` / ``params.mbp_check``. A step's solver error,
-    aborting check or non-finite value propagates with ``state`` attached.
+    ``params.checks``. A step that is not finite raises
+    :class:`NonFiniteStateError` before any check runs. A step's solver
+    error, aborting check or non-finite value propagates with ``state``
+    attached.
     """
     state = initialize(mesh, params.A0, params.psi0, params)
     pending = sorted(float(s) for s in snapshot_times)
@@ -420,13 +403,16 @@ def run(
 
     g0 = state.history[0].total
     energy_budget = ENERGY_SLACK * max(1.0, abs(g0))
-    check_energy = params.energy_check != "off" and params.dissipation_guaranteed
-    check_mbp = params.mbp_check != "off" and state.mbp_guaranteed
+    check_energy = params.checks != "off" and params.dissipation_guaranteed
+    check_mbp = params.checks != "off" and state.mbp_guaranteed
 
     try:
         while state.t < params.T - eps:
             if isinstance(params.tau, AdaptiveTau):
-                tau = adaptive_tau(state.step_energies, state.tau_current, params.tau)
+                # the energies after the last two accepted steps; the t = 0 row is not a step
+                last_two = state.history[max(1, len(state.history) - 2):]
+                tau = adaptive_tau([row.total for row in last_two], state.history[-1].tau,
+                                   params.tau)
             else:
                 tau = float(params.tau)
             t_new = state.t + tau
@@ -434,27 +420,30 @@ def run(
             A_new = step_A(state, params, tau, t_new)
             Lhat = fem.assemble_Lhat(mesh, A_new, params.kappa)
             psi_new = step_psi(state, params, A_new, Lhat, tau)
+            for name, value in (("A", A_new), ("psi", psi_new)):
+                if not np.isfinite(value).all():
+                    raise NonFiniteStateError(f"{name} is not finite at t={t_new!r}")
             row = _energy_row(mesh, params, Lhat, A_new, psi_new, t_new, tau)
             g_prev = state.history[-1].total
 
             # written as ``not <=`` so that NaN counts as a violation
+            messages = []
             if check_energy and not (row.total <= g_prev + energy_budget):
-                state.energy_violations.append((t_new, g_prev, row.total))
-                _handle("energy", params.energy_check,
-                        f"energy grew from {g_prev!r} to {row.total!r} at t={t_new!r}")
+                state.violations.append((t_new, "energy", row.total))
+                messages.append(f"energy grew from {g_prev!r} to {row.total!r} at t={t_new!r}")
             if check_mbp and not (row.max_psi <= 1.0 + MBP_SLACK):
-                state.mbp_violations.append((t_new, row.max_psi))
-                _handle("mbp", params.mbp_check,
-                        f"nodal modulus reached {row.max_psi!r} > 1 at t={t_new!r}")
-            for name, value in (("A", A_new), ("psi", psi_new)):
-                if not np.isfinite(value).all():
-                    raise NonFiniteStateError(f"{name} is not finite at t={t_new!r}")
-            state.A, state.psi, state.t, state.tau_current = A_new, psi_new, t_new, tau
+                state.violations.append((t_new, "modulus", row.max_psi))
+                messages.append(f"nodal modulus reached {row.max_psi!r} > 1 at t={t_new!r}")
+            if messages:
+                if params.checks == "abort":
+                    raise ViolationError("; ".join(messages))
+                warnings.warn("; ".join(messages), stacklevel=2)
+            state.A, state.psi, state.t = A_new, psi_new, t_new
             state.n += 1
             state.history.append(row)
             state.recent.push(A_new)
             emit_due()
-    except (ConvergenceError, EnergyViolationError, BoundViolationError, NonFiniteStateError) as exc:
+    except (ConvergenceError, ViolationError, NonFiniteStateError) as exc:
         exc.state = state  # the accepted steps, for the caller to keep
         raise
 

@@ -1,14 +1,17 @@
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tdglfem.cli
 import tdglfem.config
 import tdglfem.linalg
 import tdglfem.scenarios
 import tdglfem.stepper
-from tdglfem.cli import _apply_thread_limit, main
+from tdglfem.cli import _THREAD_VARS, main
 from tdglfem.mesh import Mesh, format_native
 from tdglfem.output import CSV_HEADER
 
@@ -111,13 +114,15 @@ def test_run_takes_long_steps_on_fine_mesh(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_run_reports_nonfinite_state(tmp_path, capsys, monkeypatch):
+    # the finiteness check runs before the energy and modulus checks, whatever ``checks`` says
     monkeypatch.setattr(
         tdglfem.stepper, "step_psi", lambda state, *args: np.full_like(state.psi, np.nan)
     )
-    cfg = write_config(tmp_path, f"scenario = lshape\nM = 2\nT = 1\ntau = 0.25\n"
-                                 f"energy_check = off\nmbp_check = off\nout = {tmp_path / 'r'}\n")
-    assert main(["run", "--config", cfg]) == 3
-    assert "solver error: psi is not finite at t=0.25" in capsys.readouterr().err
+    for checks in ("abort", "warn", "off"):
+        cfg = write_config(tmp_path, f"scenario = lshape\nM = 2\nT = 1\ntau = 0.25\n"
+                                     f"checks = {checks}\nout = {tmp_path / 'r'}\n")
+        assert main(["run", "--config", cfg]) == 3
+        assert capsys.readouterr().err == "solver error: psi is not finite at t=0.25\n"
 
 
 def nan_psi(state, *args):
@@ -128,30 +133,34 @@ def forced_nonconvergence(*args, **kwargs):
     raise tdglfem.linalg.ConvergenceError("cg forced to fail", iterations=0, residual=1.0)
 
 
+#: calls ``initialize`` makes before the first step
+INIT_CALLS = {"discrete_energy": 1, "mbp_stats": 2}
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize(
-    "target, failing, checks, message",
+    "target, failing, message",
     [
-        ("cg_solve", forced_nonconvergence, "", "cg forced to fail"),
-        ("step_psi", nan_psi, "energy_check = abort\nmbp_check = off\n", "energy grew"),
-        ("step_psi", nan_psi, "energy_check = off\nmbp_check = abort\n", "nodal modulus"),
-        ("step_psi", nan_psi, "energy_check = off\nmbp_check = off\n", "psi is not finite"),
+        ("cg_solve", forced_nonconvergence, "cg forced to fail"),
+        ("discrete_energy", lambda *args: (np.inf, 0.0, 0.0), "energy grew from "),
+        ("mbp_stats", lambda psi: (2.0, 0), "nodal modulus reached 2.0 > 1 at t=0.75"),
+        ("step_psi", nan_psi, "psi is not finite at t=0.75"),
     ],
     ids=["convergence", "energy", "bound", "nonfinite"],
 )
-def test_failed_run_keeps_accepted_rows(tmp_path, capsys, monkeypatch, target, failing, checks,
-                                        message):
+def test_failed_run_keeps_accepted_rows(tmp_path, capsys, monkeypatch, target, failing, message):
     real = getattr(tdglfem.stepper, target)
     calls = []
 
-    def third_fails(*args, **kwargs):
+    def third_step_fails(*args, **kwargs):
         calls.append(None)
-        return (failing if len(calls) == 3 else real)(*args, **kwargs)
+        third = len(calls) == 3 + INIT_CALLS.get(target, 0)
+        return (failing if third else real)(*args, **kwargs)
 
-    monkeypatch.setattr(tdglfem.stepper, target, third_fails)
+    monkeypatch.setattr(tdglfem.stepper, target, third_step_fails)
     out_dir = tmp_path / "r"
     cfg = write_config(
-        tmp_path, f"scenario = lshape\nM = 2\nT = 1\ntau = 0.25\n{checks}out = {out_dir}\n"
+        tmp_path, f"scenario = lshape\nM = 2\nT = 1\ntau = 0.25\nchecks = abort\nout = {out_dir}\n"
     )
     assert main(["run", "--config", cfg]) == 3
     assert f"solver error: {message}" in capsys.readouterr().err
@@ -355,7 +364,7 @@ def test_convergence_bad_resolutions(capsys):
     [
         ("T = inf", "4,8", "T must be finite"),
         ("kappa = -1", "4,8", "kappa must be positive"),
-        ("energy_check = bogus", "4,8", "energy_check must be one of"),
+        ("checks = bogus", "4,8", "checks must be one of"),
         ("tau = 0.5", "4,8", "tau cannot be set"),
         ("M = 8", "4,8", "M cannot be set"),
         ("mesh_file = nowhere.msh", "4,8", "mesh_file cannot be set"),
@@ -402,22 +411,41 @@ def test_convergence_config_must_be_manufactured(tmp_path, capsys):
 # -- misc ------------------------------------------------------------------------
 
 
-def test_thread_limit_sets_env(monkeypatch):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+def cleared_thread_vars(monkeypatch):
+    for var in _THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
-    _apply_thread_limit(["run", "--threads", "3"])
-    import os
-
-    assert os.environ["OMP_NUM_THREADS"] == "3"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
 
 
-def test_thread_limit_ignores_garbage(monkeypatch):
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    _apply_thread_limit(["run", "--threads", "-2"])
-    import os
+def test_thread_limit_sets_env(monkeypatch):
+    for command in ("run", "convergence"):
+        cleared_thread_vars(monkeypatch)
+        monkeypatch.setattr(tdglfem.cli, f"_cmd_{command}", lambda args: 0)
+        assert main([command, "--config", "x.cfg", "--threads", "3"]) == 0
+        assert {var: os.environ[var] for var in _THREAD_VARS} == dict.fromkeys(_THREAD_VARS, "3")
 
-    assert "OMP_NUM_THREADS" not in os.environ
+
+def test_thread_limit_ignores_garbage(monkeypatch, capsys):
+    cleared_thread_vars(monkeypatch)
+    for threads in ("-2", "0", "two", ""):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", "x.cfg", "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not any(var in os.environ for var in _THREAD_VARS)
+
+
+def test_threads_parsed_before_numpy_loads():
+    # the cap only takes effect if numpy is not loaded when it is set
+    code = (
+        "import sys, tdglfem.cli as cli\n"
+        "args = cli._build_parser().parse_args(['run', '--config', 'x', '--threads', '2'])\n"
+        "assert args.threads == 2\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script_smoke():

@@ -1,3 +1,7 @@
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -37,8 +41,7 @@ def test_parse_full_file():
         snapshots = 0, 5, 20
         series_cadence = 10
         strict_acute = true
-        energy_check = abort
-        mbp_check = off
+        checks = abort
         """
     )
     assert cfg.scenario == "lshape"
@@ -50,8 +53,7 @@ def test_parse_full_file():
     assert cfg.psi0 == 0.6 + 0.8j
     assert cfg.snapshots == (0.0, 5.0, 20.0)
     assert cfg.strict_acute is True
-    assert cfg.energy_check == "abort"
-    assert cfg.mbp_check == "off"
+    assert cfg.checks == "abort"
 
 
 def test_parse_empty_gives_defaults():
@@ -84,6 +86,21 @@ def test_parse_unknown_key_reports_line():
     with pytest.raises(ConfigError, match="line 3.*unknown key 'kapa'") as exc:
         parse_config("scenario = lshape\n\nkapa = 10\n")
     assert exc.value.key == "kapa"
+
+
+@pytest.mark.parametrize("key", ["energy_check", "mbp_check"])
+def test_parse_retired_check_keys(key):
+    # one ``checks`` key replaced these; a retired key must not run unchecked
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config(f"scenario = lshape\n{key} = abort\n")
+
+
+def test_readme_documents_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config format", 1)[1].split("\n### ", 1)[0]
+    missing = [f.name for f in fields(RunConfig)
+               if not re.search(rf"\b{re.escape(f.name)}\b", section)]
+    assert not missing, f"README's config format section does not name {missing}"
 
 
 def test_parse_duplicate_key():
@@ -222,6 +239,8 @@ def test_materialize_odd_lshape_m():
 def test_materialize_rejects_bad_params():
     with pytest.raises(ConfigError, match="kappa"):
         materialize(RunConfig(scenario="lshape", M=4, kappa=-1.0))
+    with pytest.raises(ConfigError, match="checks must be one of warn, abort, off"):
+        materialize(parse_config("scenario = lshape\nM = 4\nchecks = bogus\n"))
     for line, field in [("T = inf", "T"), ("H = nan", "H"), ("psi0 = nan+0i", "psi0"),
                         ("tau_max = inf", "tau_max"), ("kappa = inf", "kappa")]:
         with pytest.raises(ConfigError, match=f"{field} must be finite"):

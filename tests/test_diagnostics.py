@@ -5,7 +5,6 @@ import pytest
 
 from tdglfem.diagnostics import (
     ERROR_FIELDS,
-    EnergyBreakdown,
     convergence_rates,
     discrete_energy,
     error_norms,
@@ -21,37 +20,38 @@ def test_energy_reference_split(square2):
     # A = (-y, x) has curl 2; psi = 0 leaves only magnetic and potential wells
     A = interpolate_edge(square2, lambda x, y: (-y, x))
     psi = np.zeros(square2.num_vertices, dtype=complex)
-    e = discrete_energy(square2, assemble_Lhat(square2, A, 1.0), A, psi, 0.0, 0.0)
-    assert e.covariant == pytest.approx(0.0, abs=1e-14)
-    assert e.magnetic == pytest.approx(2.0, rel=1e-13)
-    assert e.potential == pytest.approx(0.25, rel=1e-13)
-    assert e.total == pytest.approx(2.25, rel=1e-13)
-    assert isinstance(e, EnergyBreakdown)
+    covariant, magnetic, potential = discrete_energy(
+        square2, assemble_Lhat(square2, A, 1.0), A, psi, 0.0, 0.0)
+    assert covariant == pytest.approx(0.0, abs=1e-14)
+    assert magnetic == pytest.approx(2.0, rel=1e-13)
+    assert potential == pytest.approx(0.25, rel=1e-13)
+    assert covariant + magnetic + potential == pytest.approx(2.25, rel=1e-13)
 
 
 def test_energy_ground_state(square4):
     psi = np.ones(square4.num_vertices, dtype=complex)
     A = np.zeros(num_edge_dofs(square4))
     e = discrete_energy(square4, assemble_Lhat(square4, A, 2.0), A, psi, 0.0, 0.0)
-    assert abs(e.total) < 1e-14
+    assert abs(sum(e)) < 1e-14
 
 
 def test_energy_applied_field_offset(square2):
     # zero state in field H: magnetic part is |Omega| H^2 / 2
     psi = np.ones(square2.num_vertices, dtype=complex)
     A = np.zeros(num_edge_dofs(square2))
-    e = discrete_energy(square2, assemble_Lhat(square2, A, 10.0), A, psi, 5.0, 0.0)
-    assert e.magnetic == pytest.approx(12.5, rel=1e-13)
-    assert e.covariant == pytest.approx(0.0, abs=1e-13)
+    covariant, magnetic, _ = discrete_energy(
+        square2, assemble_Lhat(square2, A, 10.0), A, psi, 5.0, 0.0)
+    assert magnetic == pytest.approx(12.5, rel=1e-13)
+    assert covariant == pytest.approx(0.0, abs=1e-13)
 
 
 def test_energy_time_dependent_H(square2):
     psi = np.ones(square2.num_vertices, dtype=complex)
     A = np.zeros(num_edge_dofs(square2))
     L = assemble_Lhat(square2, A, 1.0)
-    e = discrete_energy(square2, L, A, psi, lambda x, y, t: t * (x + y), 2.0)
+    _, magnetic, _ = discrete_energy(square2, L, A, psi, lambda x, y, t: t * (x + y), 2.0)
     # H(x,y,2) = 2(x+y): magnetic = 1/2 int 4 (x+y)^2 = 2 * 7/6
-    assert e.magnetic == pytest.approx(7.0 / 3.0, rel=1e-12)
+    assert magnetic == pytest.approx(7.0 / 3.0, rel=1e-12)
 
 
 def test_mbp_stats_reference():

@@ -407,8 +407,8 @@ def test_covariant_seminorm_gauge_example(square2):
     psi = np.ones(square2.num_vertices, dtype=complex)
     A = interpolate_edge(square2, lambda x, y: (0 * x + 2.0, 0 * y + 1.0))
     L = assemble_Lhat(square2, A, 1.0)
-    e = discrete_energy(square2, L, A, psi, 0.0, 0.0)
-    assert e.covariant == pytest.approx(2.5, rel=1e-13)
+    covariant, _, _ = discrete_energy(square2, L, A, psi, 0.0, 0.0)
+    assert covariant == pytest.approx(2.5, rel=1e-13)
 
 
 # -- A-step system ------------------------------------------------------------

@@ -22,8 +22,8 @@ from oracles import interpolate_edge
 
 def make_rows(n):
     return [
-        TimeSeriesRow(t=0.1 * k, tau=0.1 if k else 0.0, total=10.0 - k,
-                      covariant=1.0, magnetic=2.0, potential=3.0, max_psi=0.9)
+        TimeSeriesRow(t=0.1 * k, tau=0.1 if k else 0.0,
+                      covariant=1.0 - k, magnetic=2.0, potential=7.0, max_psi=0.9)
         for k in range(n)
     ]
 
@@ -38,18 +38,19 @@ def test_timeseries_layout():
     assert lines[0] == CSV_HEADER
     assert len(lines) == 4
     assert text.endswith("\n")
-    assert lines[1] == "0.0,0.0,10.0,1.0,2.0,3.0,0.9"
+    assert lines[1] == "0.0,0.0,10.0,1.0,2.0,7.0,0.9"
+    assert lines[3] == "0.2,0.1,8.0,-1.0,2.0,7.0,0.9"
 
 
 def test_timeseries_values_round_trip():
     # repr-formatted floats must parse back bit for bit
-    rows = [TimeSeriesRow(t=1 / 3, tau=0.2 / np.sqrt(11), total=-1e-17,
+    rows = [TimeSeriesRow(t=1 / 3, tau=0.2 / np.sqrt(11),
                           covariant=0.1 + 0.2, magnetic=2.0, potential=3.0,
                           max_psi=1.0 - 1e-16)]
     fields = format_timeseries_csv(rows).splitlines()[1].split(",")
     assert float(fields[0]) == rows[0].t
     assert float(fields[1]) == rows[0].tau
-    assert float(fields[2]) == rows[0].total
+    assert float(fields[2]) == rows[0].total == (0.1 + 0.2) + 2.0 + 3.0
     assert float(fields[6]) == rows[0].max_psi
 
 

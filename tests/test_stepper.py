@@ -6,17 +6,15 @@ import scipy.sparse.linalg as spla
 
 import tdglfem.stepper as stepper
 from tdglfem.config import RunConfig, materialize
-from tdglfem.diagnostics import EnergyBreakdown
 from tdglfem.fem import assemble_Lhat, lumped_mass, num_edge_dofs
 from tdglfem.linalg import RECENT_LEVELS
 from tdglfem.mesh import Mesh, generate_uniform_square
 from tdglfem.scenarios import lshape_mesh, unit_square_mesh
 from tdglfem.stepper import (
     AdaptiveTau,
-    BoundViolationError,
-    EnergyViolationError,
     NonFiniteStateError,
     SchemeParams,
+    ViolationError,
     adaptive_tau,
     initialize,
     run,
@@ -46,8 +44,8 @@ def quiet_params(**kw):
         {"mu": "bogus"},
         {"mu": -3.0},
         {"tau": 0.0},
-        {"energy_check": "maybe"},
-        {"mbp_check": ""},
+        {"checks": "maybe"},
+        {"checks": ""},
         {"kappa": math.inf},
         {"T": math.inf},
         {"tau": math.inf},
@@ -233,7 +231,7 @@ def test_initialize_records_t0(square2):
     assert len(state.history) == 1
     assert state.history[0].t == 0.0
     assert state.history[0].tau == 0.0
-    assert state.step_energies == []
+    assert not state.violations
 
 
 def test_initialize_A0_variants(square2):
@@ -269,7 +267,7 @@ def test_run_T0_returns_initial(square2):
     with pytest.warns(UserWarning):
         state = run(square2, quiet_params(T=0.0))
     assert state.n == 0
-    assert state.step_energies == []
+    assert len(state.history) == 1
 
 
 def test_run_step_counts(square2):
@@ -396,6 +394,26 @@ def test_run_adaptive_policy(square4):
     assert state.n >= 3
 
 
+@pytest.mark.filterwarnings("ignore:mesh is weakly acute")
+def test_adaptive_reads_two_energies(monkeypatch):
+    seen = []
+    real = stepper.adaptive_tau
+
+    def recording(energies, tau_prev, policy):
+        seen.append(len(energies))
+        return real(energies, tau_prev, policy)
+
+    monkeypatch.setattr(stepper, "adaptive_tau", recording)
+    pol = AdaptiveTau(alpha=10.0, tau_min=0.05, tau_max=0.5)
+    state = run(lshape_mesh(4), quiet_params(kappa=3.0, T=2.0, H=2.0, tau=pol))
+    assert seen == [0, 1] + [2] * (state.n - 2)
+    # each step is the one the controller picks from every energy so far
+    energies = [row.total for row in state.history[1:]]
+    for k in range(1, state.n):
+        assert state.history[k + 1].tau == real(energies[:k], state.history[k].tau, pol)
+    assert len(set(row.tau for row in state.history[1:])) > 3
+
+
 def test_snapshots_fire_once_each(square2):
     seen = []
     params = quiet_params(T=1.0, tau=0.25)
@@ -418,7 +436,7 @@ def rigged_energy(monkeypatch):
 
     def fake(mesh, Lhat, A, psi, H, t):
         counter["k"] += 1
-        return EnergyBreakdown(float(counter["k"]), 0.0, 0.0)
+        return float(counter["k"]), 0.0, 0.0
 
     monkeypatch.setattr(stepper, "discrete_energy", fake)
 
@@ -426,79 +444,118 @@ def rigged_energy(monkeypatch):
 @pytest.mark.filterwarnings("ignore:mesh is weakly acute")
 def test_energy_violation_warn(square2, monkeypatch):
     rigged_energy(monkeypatch)
-    params = quiet_params(T=0.5, tau=0.25, energy_check="warn")
-    with pytest.warns(UserWarning, match="energy"):
+    params = quiet_params(T=0.5, tau=0.25, checks="warn")
+    with pytest.warns(UserWarning, match="energy grew") as record:
         state = run(square2, params)
-    assert state.energy_violations
+    assert [str(w.message) for w in record if "grew" in str(w.message)] == [
+        "energy grew from 1.0 to 2.0 at t=0.25", "energy grew from 2.0 to 3.0 at t=0.5"]
+    assert state.violations == [(0.25, "energy", 2.0), (0.5, "energy", 3.0)]
 
 
 def test_energy_violation_abort(square2, monkeypatch):
     rigged_energy(monkeypatch)
-    params = quiet_params(T=0.5, tau=0.25, energy_check="abort")
+    params = quiet_params(T=0.5, tau=0.25, checks="abort")
     with pytest.warns(UserWarning):
-        with pytest.raises(EnergyViolationError):
+        with pytest.raises(ViolationError, match="^energy grew from 1.0 to 2.0 at t=0.25$") as exc:
             run(square2, params)
+    assert exc.value.state.violations == [(0.25, "energy", 2.0)]
 
 
 def test_energy_violation_off(square2, monkeypatch):
     rigged_energy(monkeypatch)
-    params = quiet_params(T=0.5, tau=0.25, energy_check="off")
+    params = quiet_params(T=0.5, tau=0.25, checks="off")
     with pytest.warns(UserWarning):
         state = run(square2, params)
-    assert not state.energy_violations
+    assert not state.violations
 
 
-def rigged_mbp(monkeypatch):
-    # first call sees clean initial data so the bound stays armed, later
-    # calls report an excursion
+def rigged_mbp(monkeypatch, value=2.0):
+    # the two calls of ``initialize`` see clean initial data so the bound
+    # stays armed, later calls report ``value``
     counter = {"k": 0}
 
     def fake(psi):
         counter["k"] += 1
-        return (1.0, 0) if counter["k"] == 1 else (2.0, 0)
+        return (1.0, 0) if counter["k"] <= 2 else (value, 0)
 
     monkeypatch.setattr(stepper, "mbp_stats", fake)
 
 
 def test_mbp_violation_abort(square2, monkeypatch):
     rigged_mbp(monkeypatch)
-    params = quiet_params(T=0.5, tau=0.25, mbp_check="abort")
+    params = quiet_params(T=0.5, tau=0.25, checks="abort")
     with pytest.warns(UserWarning):
-        with pytest.raises(BoundViolationError):
+        with pytest.raises(ViolationError, match="^nodal modulus reached 2.0 > 1 at t=0.25$"):
             run(square2, params)
 
 
 def test_mbp_violation_warn(square2, monkeypatch):
     rigged_mbp(monkeypatch)
-    params = quiet_params(T=0.5, tau=0.25, mbp_check="warn")
+    params = quiet_params(T=0.5, tau=0.25, checks="warn")
     with pytest.warns(UserWarning, match="modulus"):
         state = run(square2, params)
-    assert state.mbp_violations
-
-
-@pytest.mark.parametrize(
-    "check, error", [("mbp_check", BoundViolationError), ("energy_check", EnergyViolationError)]
-)
-def test_checks_catch_nan(square2, monkeypatch, check, error):
-    monkeypatch.setattr(
-        stepper, "step_psi", lambda state, *args: np.full_like(state.psi, math.nan)
-    )
-    checks = {"energy_check": "off", "mbp_check": "off", check: "abort"}
-    params = quiet_params(T=0.5, tau=0.25, **checks)
-    with pytest.warns(UserWarning, match="weakly acute"):
-        with pytest.raises(error, match="nan"):
-            run(square2, params)
+    assert state.violations == [(0.25, "modulus", 2.0), (0.5, "modulus", 2.0)]
 
 
 @pytest.mark.filterwarnings("ignore:mesh is weakly acute")
-def test_nonfinite_step_raises_at_once(square2, monkeypatch):
-    # with both checks off, a NaN psi used to surface one step later as a CG failure
+def test_mbp_violation_off(square2, monkeypatch):
+    rigged_mbp(monkeypatch)
+    state = run(square2, quiet_params(T=0.5, tau=0.25, checks="off"))
+    assert not state.violations
+
+
+@pytest.mark.filterwarnings("ignore:mesh is weakly acute")
+@pytest.mark.parametrize("checks", ["abort", "warn"])
+def test_one_step_breaking_both_guarantees(square2, monkeypatch, checks):
+    rigged_energy(monkeypatch)
+    rigged_mbp(monkeypatch)
+    message = "energy grew from 1.0 to 2.0 at t=0.25; nodal modulus reached 2.0 > 1 at t=0.25"
+    params = quiet_params(T=0.25, tau=0.25, checks=checks)
+    if checks == "abort":
+        with pytest.raises(ViolationError) as exc:
+            run(square2, params)
+        assert str(exc.value) == message
+        state = exc.value.state
+    else:
+        with pytest.warns(UserWarning) as record:
+            state = run(square2, params)
+        assert [str(w.message) for w in record if "grew" in str(w.message)] == [message]
+    assert state.violations == [(0.25, "energy", 2.0), (0.25, "modulus", 2.0)]
+
+
+@pytest.mark.parametrize("check", ["energy", "modulus"])
+def test_checks_catch_nan(square2, monkeypatch, check):
+    # the step itself is finite; the check's own quantity comes out NaN
+    if check == "energy":
+        counter = {"k": 0}
+        real = stepper.discrete_energy
+
+        def nan_energy(*args):
+            counter["k"] += 1
+            return real(*args) if counter["k"] == 1 else (math.nan, 0.0, 0.0)
+
+        monkeypatch.setattr(stepper, "discrete_energy", nan_energy)
+    else:
+        rigged_mbp(monkeypatch, math.nan)
+    params = quiet_params(T=0.5, tau=0.25, checks="abort")
+    with pytest.warns(UserWarning, match="weakly acute"):
+        with pytest.raises(ViolationError, match="nan") as exc:
+            run(square2, params)
+    assert [v[1] for v in exc.value.state.violations] == [check]
+
+
+@pytest.mark.filterwarnings("ignore:mesh is weakly acute")
+def test_nonfinite_step_raises_at_once(square2, monkeypatch, recwarn):
+    # the finiteness check runs first: no energy or modulus check sees the NaN
     monkeypatch.setattr(
         stepper, "step_psi", lambda state, *args: np.full_like(state.psi, math.nan)
     )
-    params = quiet_params(T=0.5, tau=0.25, energy_check="off", mbp_check="off")
-    with pytest.raises(NonFiniteStateError, match="psi is not finite at t=0.25"):
-        run(square2, params)
+    for checks in ("warn", "abort", "off"):
+        params = quiet_params(T=0.5, tau=0.25, checks=checks)
+        with pytest.raises(NonFiniteStateError, match="psi is not finite at t=0.25") as exc:
+            run(square2, params)
+        assert not exc.value.state.violations
+    assert not [w for w in recwarn if "weakly acute" not in str(w.message)]
 
 
 def energy_norm(S, x):
