@@ -8,8 +8,9 @@ audit), and ``scenarios`` (list the built-in setups from their records).
 Exit codes: 0 on success, 2 for configuration problems (bad config text,
 unreadable, non-UTF-8 or malformed mesh and config files, inconsistent
 parameters), 3 for solver failures or policy refusals (iteration caps,
-obtuse meshes, aborted checks); a ``run`` failing in its time loop still
-writes the accepted rows.
+obtuse meshes, aborted checks), 130 for an interrupt (``SIGINT``,
+Ctrl-C); a ``run`` stopped in its time loop, by a failure or an interrupt,
+still writes the accepted rows.
 
 Heavy imports happen inside the handlers so ``--threads`` can pin the BLAS
 thread pools through the environment before numpy loads.
@@ -115,8 +116,8 @@ def _cmd_run(args) -> int:
     try:
         state = run(prepared.mesh, prepared.params,
                     snapshot_times=prepared.output.snapshots, on_snapshot=on_snapshot)
-    except Exception as exc:
-        if hasattr(exc, "state"):  # ``run`` attaches the accepted steps to a failed step's error
+    except BaseException as exc:
+        if hasattr(exc, "state"):  # ``run`` attaches the accepted steps to whatever stops it
             write_timeseries_csv(series, exc.state.history, prepared.output.series_cadence)
         raise
 
@@ -284,6 +285,10 @@ def main(argv=None) -> int:
     except (ConvergenceError, ViolationError, NonFiniteStateError, ValueError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt as exc:
+        state = getattr(exc, "state", None)
+        print("interrupted" + (f" at t={state.t:g}" if state is not None else ""), file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -48,7 +48,11 @@ products with the permuted ``C`` around one banded solve. Where a cost
 rule finds them too dear, vertex-block Jacobi is used: the entries of
 ``c M + K`` whose two dofs sit at one vertex (each dof sits at one), read
 off the edge CSR pattern and inverted once per ``c`` into one
-block-diagonal CSR matrix.
+block-diagonal CSR matrix. Every mesh keeps the numbering and its band
+width, which the rule reads; the band, ``1/area`` in band order and the
+permuted ``C`` are built on the first use of the cell path, and the
+vertex-block layout on the first use of the vertex path. One slot keeps
+the latest preconditioner with its path and ``c``.
 """
 
 from __future__ import annotations
@@ -85,31 +89,28 @@ __all__ = [
 
 
 class CsrPattern:
-    """Frozen CSR sparsity of per-cell entry arrays.
+    """Frozen CSR layout of an ``n x n`` matrix: ``indices``, ``indptr``,
+    ``shape`` and ``nnz``."""
 
-    ``_inv`` maps each entry, in the order handed to ``__init__``, to its
-    slot in the canonical sorted CSR storage; ``sum_duplicates`` reduces
-    values with equal (row, col) through ``np.bincount``, which is
-    deterministic.
-    """
+    def __init__(self, indices, indptr, n):
+        self.indices, self.indptr = indices, indptr
+        self.nnz = len(indices)
+        self.shape = (n, n)
 
-    def __init__(self, rows, cols, n):
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        keys = rows * n + cols
+    @classmethod
+    def of_entries(cls, rows, cols, n):
+        """The pattern of per-cell entry arrays, and each entry's slot in its
+        sorted storage, for the build to sum entries into by ``np.bincount``."""
+        keys = np.ravel(rows).astype(np.int64) * n + np.ravel(cols)
         # ``np.unique(keys, return_inverse=True)`` by one stable sort and a cumsum
         order = np.argsort(keys, kind="stable")
         first = np.r_[True, np.diff(keys[order]) != 0]
-        self._inv = np.empty_like(order)
-        self._inv[order] = np.cumsum(first) - 1
+        slots = np.empty_like(order)
+        slots[order] = np.cumsum(first) - 1
         ukeys = keys[order[first]]
-        self.nnz = len(ukeys)
-        self.shape = (n, n)
-        self.indices = (ukeys % n).astype(np.int32)
-        self.indptr = np.searchsorted(ukeys, np.arange(n + 1) * n).astype(np.int32)
-
-    def sum_duplicates(self, values) -> np.ndarray:
-        return np.bincount(self._inv, weights=np.ravel(values), minlength=self.nnz)
+        indices = (ukeys % n).astype(np.int32)
+        indptr = np.searchsorted(ukeys, np.arange(n + 1) * n).astype(np.int32)
+        return cls(indices, indptr, n), slots
 
     def csr_from_data(self, data) -> sp.csr_matrix:
         """Wrap already-reduced data (length ``nnz``) without copying."""
@@ -138,12 +139,6 @@ class _MeshOps:
     #: local edges meeting at each local vertex
     _INCIDENT = ((0, 2), (0, 1), (1, 2))
 
-    #: ``(c, banded Cholesky factor of G_c)`` for the latest ``c``
-    _cell_factor = None
-
-    #: ``(c, block-diagonal CSR inverse of the vertex blocks of c M + K)`` for the latest ``c``
-    _block_inverse = None
-
     def __init__(self, mesh: Mesh):
         # arrays only: a reference to the mesh would keep it alive as a cache key
         cells = mesh.cells
@@ -167,9 +162,9 @@ class _MeshOps:
         )
         rows3 = np.broadcast_to(cells[:, :, None], (nc, 3, 3))
         cols3 = np.broadcast_to(cells[:, None, :], (nc, 3, 3))
-        self.nodal_pattern = CsrPattern(rows3, cols3, nv)
+        self.nodal_pattern, slots = CsrPattern.of_entries(rows3, cols3, nv)
         # per-cell 3x3 entries per unit area, (3, 3, nc), -> CSR data
-        slots = self.nodal_pattern._inv.reshape(nc, 9).T.ravel()
+        slots = slots.reshape(nc, 9).T.ravel()
         self._nodal_scatter = sp.csc_matrix(
             (np.tile(self.area, 9), slots, np.arange(9 * nc + 1)), shape=(self.nodal_pattern.nnz, 9 * nc)
         )
@@ -220,7 +215,7 @@ class _MeshOps:
         self.dof_vertex = mesh.edges.ravel()  # dof 2e sits at edges[e, 0], 2e+1 at edges[e, 1]
         rows6 = np.broadcast_to(dofs[:, :, None], (nc, 6, 6))
         cols6 = np.broadcast_to(dofs[:, None, :], (nc, 6, 6))
-        self.edge_pattern = CsrPattern(rows6, cols6, n)
+        self.edge_pattern, edge_slots = CsrPattern.of_entries(rows6, cols6, n)
         # weighted edge mass: entry (i, j) of a cell is W[v(i), v(j)] (dual_i . dual_j)
         # for its nodal weights W, so the scatter's column (v, w, c) feeds the
         # four dof pairs (s, r) at corners v and w
@@ -228,16 +223,16 @@ class _MeshOps:
         dots = np.empty((3, 3, nc, 2, 2))
         for s, r in np.ndindex(2, 2):
             local = 36 * cell + 6 * at[:, None, s] + at[None, :, r]
-            slots[..., s, r] = self.edge_pattern._inv[local]
+            slots[..., s, r] = edge_slots[local]
             dots[..., s, r] = self.area * sum(d[:, None, s] * d[None, :, r] for d in dual)
         self._mass_scatter = sp.csc_matrix(
             (dots.ravel(), slots.ravel(), np.arange(0, 36 * nc + 1, 4, dtype=np.int32)),
             shape=(self.edge_pattern.nnz, 9 * nc),
         )
-        self._edge_mass_data = self._mass_scatter @ np.repeat(_M2.ravel(), nc)
-        self.mass = self.edge_pattern.csr_from_data(self._edge_mass_data)
+        self.mass = self.edge_pattern.csr_from_data(self._mass_scatter @ np.repeat(_M2.ravel(), nc))
         curl_local = self.area[:, None, None] * curl_coeff[:, :, None] * curl_coeff[:, None, :]
-        self._curl_data = self.edge_pattern.sum_duplicates(curl_local)
+        self._curl_data = np.bincount(edge_slots, weights=curl_local.ravel(),
+                                      minlength=self.edge_pattern.nnz)
 
     # -- per-cell evaluation ---------------------------------------------------
 
@@ -261,68 +256,70 @@ class _MeshOps:
 
     # -- curl-exact preconditioner -------------------------------------------
 
-    @cached_property
-    def _mass_diag(self) -> np.ndarray:
-        return self.mass.diagonal()
+    #: ``(path, c, apply)`` of the latest preconditioner; ``path`` is the builder that made it
+    _preconditioner = (None, None, None)
 
     @cached_property
     def _curl_mass_trace_ratio(self) -> float:
         curl_trace = self.edge_pattern.csr_from_data(self._curl_data).diagonal().sum()
-        return float(curl_trace / self._mass_diag.sum())
+        return float(curl_trace / self.mass.diagonal().sum())
+
+    def _cell_coupling(self) -> sp.csr_matrix:
+        """``C diag(M)^{-1} C^T``: the cells that share an edge."""
+        return (self.curl @ sp.diags(1.0 / self.mass.diagonal()) @ self.curl.T).tocsr()
+
+    @cached_property
+    def _cell_numbering(self):
+        """The cells' Cuthill-McKee positions in :meth:`_cell_coupling`, and its band width there."""
+        coupling = self._cell_coupling()
+        pos = _cuthill_mckee(coupling)
+        coupling = coupling.tocoo()
+        return pos, int((pos[coupling.row] - pos[coupling.col]).max(initial=0))
 
     def cell_space_pays(self, s: float) -> bool:
-        """Whether the cell-space solve beats Jacobi on ``s M + K (+ M_w)``.
+        """Whether the cell path is chosen for ``s M + K (+ M_w)``.
 
-        Jacobi-CG needs about ``sqrt(1 + rho)`` times the iterations of the
-        cell-space PCG, ``rho = tr(K) / (s tr(M))``; each PCG iteration costs
-        about ``1 + 4 n_cells (bw + 1) / nnz`` Jacobi iterations (two banded
-        triangular solves against one matrix product).
+        Point Jacobi-CG needs about ``sqrt(1 + rho)`` times the iterations of
+        the cell-space PCG, ``rho = tr(K) / (s tr(M))``; each PCG iteration
+        costs about ``1 + 4 n_cells (bw + 1) / nnz`` of its iterations (two
+        banded triangular solves against one matrix product). Those constants
+        were fitted against point Jacobi, before vertex blocks replaced it, and
+        are kept so that every mesh keeps its path; so ``holed_square_mesh(8)``
+        at ``tau = 0.2`` takes the vertex blocks, although the cell path is
+        faster there (CHANGES.md, the ``FOUND:`` on ``cell_space_pays``).
         """
         rho = self._curl_mass_trace_ratio / s
-        bw = self._cell_band[-1]
+        bw = self._cell_numbering[1]
         work = 1.0 + 4.0 * len(self.area) * (bw + 1) / self.edge_pattern.nnz
         return math.sqrt(1.0 + rho) > work
 
     @cached_property
-    def _cell_band(self):
-        """The cells in Cuthill-McKee order, their ``1/area`` in that order, and
-        the lower band of ``C diag(M)^{-1} C^T`` in that order: LAPACK band
-        positions, values and the band width."""
-        coupling = (self.curl @ sp.diags(1.0 / self._mass_diag) @ self.curl.T).tocsr()
-        pos = _cuthill_mckee(coupling)
-        coupling = coupling.tocoo()
+    def _cell_path(self):
+        """What only the cell path reads, built on its first use: ``diag(M)``;
+        the lower band of :meth:`_cell_coupling` in Cuthill-McKee order, as
+        LAPACK band positions and values; ``1/area`` in that order; and the
+        curl matrix with its rows in that order, and its transpose."""
+        pos, _ = self._cell_numbering
+        coupling = self._cell_coupling().tocoo()
         row, col = pos[coupling.row], pos[coupling.col]
         lower = row >= col
-        band_index = (row[lower] - col[lower], col[lower])
         order = np.argsort(pos)
-        bw = int(band_index[0].max(initial=0))
-        return order, 1.0 / self.area[order], band_index, coupling.data[lower], bw
-
-    @cached_property
-    def _cell_curl(self):
-        """The curl matrix with its rows in Cuthill-McKee order, and its transpose.
-        Kept apart from ``_cell_band``, which the cost rule builds on every mesh,
-        so that a mesh on the vertex-block path never holds it."""
-        curl = self.curl[self._cell_band[0]]
-        return curl, curl.T
+        curl = self.curl[order]
+        band_index = (row[lower] - col[lower], col[lower])
+        inv_area = 1.0 / self.area[order]
+        return self.mass.diagonal(), band_index, coupling.data[lower], inv_area, curl, curl.T
 
     def cell_space_preconditioner(self, c: float):
-        """``r -> P_c^{-1} r`` for ``P_c = c diag(M) + K``, through ``G_c``.
-
-        The banded factor of the latest ``c`` is kept; another ``c`` refactors.
-        """
-        _, inv_area, band_index, band, bw = self._cell_band
-        if self._cell_factor is None or self._cell_factor[0] != c:
-            ab = np.zeros((bw + 1, len(inv_area)))
-            ab[band_index] = band / c
-            ab[0] += inv_area
-            factor, info = _pbtrf(ab, lower=1, overwrite_ab=1)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"banded Cholesky of G_c failed (info={info})")
-            self._cell_factor = (c, factor)
-        factor = self._cell_factor[1]
-        inv_cm = 1.0 / (c * self._mass_diag)
-        curl, curl_t = self._cell_curl
+        """``r -> P_c^{-1} r`` for ``P_c = c diag(M) + K``, through a banded
+        Cholesky factor of ``G_c``."""
+        mass_diag, band_index, band, inv_area, curl, curl_t = self._cell_path
+        ab = np.zeros((self._cell_numbering[1] + 1, len(inv_area)))
+        ab[band_index] = band / c
+        ab[0] += inv_area
+        factor, info = _pbtrf(ab, lower=1, overwrite_ab=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"banded Cholesky of G_c failed (info={info})")
+        inv_cm = 1.0 / (c * mass_diag)
 
         def apply(r):
             w, _ = _pbtrs(factor, curl @ (r * inv_cm), lower=1)
@@ -333,8 +330,8 @@ class _MeshOps:
     @cached_property
     def _vertex_blocks(self):
         """CSR positions of the vertex-block entries of ``c M + K`` and their flat
-        slots in an identity-padded ``(n_vertices, b, b)`` stack; the int32 CSR
-        layout of the inverse with the stack slot of each entry. Each row holds
+        slots in an identity-padded ``(n_vertices, b, b)`` stack; the stack slot
+        of each entry of the inverse, and its CSR layout. Each row holds
         its whole block, as the inverse fills in dof pairs that share no cell."""
         vertex, n = self.dof_vertex, self.n_edge_dofs
         order = np.argsort(vertex, kind="stable")
@@ -356,29 +353,25 @@ class _MeshOps:
         k = np.arange(indptr[-1]) - indptr[row]
         indices = order[start[vertex[row]] + k].astype(np.int32)
         take = ((vertex[row] * b + slot[row]) * b + k).astype(np.int32)
-        return pos, fill, take, indices, indptr, b
+        return pos, fill, take, CsrPattern(indices, indptr, n), b
 
     def vertex_block_preconditioner(self, c: float):
-        """``r -> B_c^{-1} r`` for ``B_c`` the vertex-block diagonal of ``c M + K``.
-
-        The inverse of the latest ``c`` is kept; another ``c`` rebuilds it.
-        """
-        if self._block_inverse is None or self._block_inverse[0] != c:
-            pos, fill, take, indices, indptr, b = self._vertex_blocks
-            blocks = np.tile(np.eye(b), (len(self.d), 1, 1))
-            blocks.reshape(-1)[fill] = c * self._edge_mass_data[pos] + self._curl_data[pos]
-            data = np.linalg.inv(blocks).reshape(-1)[take]
-            n = self.n_edge_dofs
-            self._block_inverse = (c, sp.csr_matrix((data, indices, indptr), shape=(n, n)))
-        return self._block_inverse[1].dot
+        """``r -> B_c^{-1} r`` for ``B_c`` the vertex-block diagonal of ``c M + K``."""
+        pos, fill, take, layout, b = self._vertex_blocks
+        blocks = np.tile(np.eye(b), (len(self.d), 1, 1))
+        blocks.reshape(-1)[fill] = c * self.mass.data[pos] + self._curl_data[pos]
+        return layout.csr_from_data(np.linalg.inv(blocks).reshape(-1)[take]).dot
 
     def curl_preconditioner(self, s: float, c: float):
         """``P_c^{-1}`` for a system between ``s M + K`` and ``(2c - s) M + K``,
         or vertex-block Jacobi on ``c M + K`` where :meth:`cell_space_pays`
-        finds the cell-space solve too dear."""
-        if self.cell_space_pays(s):
-            return self.cell_space_preconditioner(c)
-        return self.vertex_block_preconditioner(c)
+        finds the cell-space solve too dear. The latest path and ``c`` keep
+        their preconditioner; another path or ``c`` builds anew."""
+        path = (_MeshOps.cell_space_preconditioner if self.cell_space_pays(s)
+                else _MeshOps.vertex_block_preconditioner)
+        if self._preconditioner[:2] != (path, c):
+            self._preconditioner = (path, c, path(self, c))
+        return self._preconditioner[2]
 
 
 _pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"))
@@ -490,7 +483,7 @@ def assemble_A_system(mesh: Mesh, psi, sigma: float, tau: float) -> sp.csr_matri
     p = np.asarray(psi, dtype=complex)[ops.corner_vertices]
     weights = _T4 @ _gram(p.real, p.imag)  # integral(|psi|^2 lam_v lam_w) per unit area
     data = (
-        (sigma / tau) * ops._edge_mass_data
+        (sigma / tau) * ops.mass.data
         + ops._curl_data
         + ops._mass_scatter @ weights.ravel()
     )
@@ -560,7 +553,7 @@ def ritz_projection(mesh: Mesh, A_func, curl_func) -> np.ndarray:
     ops = _ops(mesh)
     rhs = ops.cmap.T @ ops.moments(at_quad(mesh, A_func)).ravel()
     rhs = rhs + ops.curl_load(at_quad(mesh, curl_func))
-    system = ops.edge_pattern.csr_from_data(ops._curl_data + ops._edge_mass_data)
+    system = ops.edge_pattern.csr_from_data(ops._curl_data + ops.mass.data)
     return cg_solve(system, rhs, precond=ops.curl_preconditioner(1.0, 1.0)).x
 
 

@@ -149,8 +149,9 @@ class Mesh:
 
         # local edges in traversal order (v0,v1), (v1,v2), (v2,v0)
         raw = np.stack([tris, np.roll(tris, -1, axis=1)], axis=2)  # (nc, 3, 2)
-        lo_hi = np.sort(raw.reshape(-1, 2), axis=1)
-        edges, inverse = np.unique(lo_hi, axis=0, return_inverse=True)
+        lo, hi = np.sort(raw.reshape(-1, 2), axis=1).T
+        keys, inverse = np.unique(lo * len(verts) + hi, return_inverse=True)  # sorts as (lo, hi) rows
+        edges = np.stack(divmod(keys, len(verts)), axis=1)
         cell_edges = inverse.reshape(-1, 3).astype(np.int64)
 
         counts = np.bincount(cell_edges.ravel(), minlength=len(edges))

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import fem
 from .diagnostics import discrete_energy, mbp_stats
-from .linalg import PHI_TOL, ConvergenceError, RecentSpan, cg_solve, phi_apply
+from .linalg import PHI_TOL, RecentSpan, cg_solve, phi_apply
 from .mesh import Mesh, audit_mesh
 
 __all__ = [
@@ -224,11 +224,6 @@ class SimulationState:
         self.recent.push(self.A)
 
 
-def _energy_row(mesh: Mesh, params: SchemeParams, Lhat, A, psi, t, tau) -> TimeSeriesRow:
-    energy = discrete_energy(mesh, Lhat, A, psi, params.H, t)
-    return TimeSeriesRow(t, tau, *energy, max_psi=mbp_stats(psi)[0])
-
-
 def initialize(mesh: Mesh, A0, psi0, params: SchemeParams) -> SimulationState:
     """Audit the mesh, interpolate/project initial data, record ``t = 0``.
 
@@ -283,7 +278,7 @@ def initialize(mesh: Mesh, A0, psi0, params: SchemeParams) -> SimulationState:
         )
         state.mbp_guaranteed = False
     Lhat = fem.assemble_Lhat(mesh, A, params.kappa)
-    row = _energy_row(mesh, params, Lhat, A, psi, 0.0, 0.0)
+    row = TimeSeriesRow(0.0, 0.0, *discrete_energy(mesh, Lhat, A, psi, params.H, 0.0), max_mod)
     # a non-finite energy would also void the budget of every later energy check
     for term in ("covariant", "magnetic", "potential"):
         if not math.isfinite(getattr(row, term)):
@@ -292,8 +287,9 @@ def initialize(mesh: Mesh, A0, psi0, params: SchemeParams) -> SimulationState:
     return state
 
 
-def step_A(state: SimulationState, params: SchemeParams, tau: float, t_n: float) -> np.ndarray:
-    """Backward-Euler vector-potential substep; returns the new dof vector.
+def step_A(state: SimulationState, params: SchemeParams, tau: float, t_new: float) -> np.ndarray:
+    """Backward-Euler vector-potential substep to ``t_new``, with the loads
+    (``H``, ``forcing_A``) taken at that new level; returns the new dof vector.
 
     CG starts from ``state.recent.start``: in the system's energy norm, the
     best point in the span of the last ``RECENT_LEVELS`` accepted potentials,
@@ -311,7 +307,7 @@ def step_A(state: SimulationState, params: SchemeParams, tau: float, t_n: float)
         params.kappa,
         params.sigma,
         tau,
-        t_n,
+        t_new,
         forcing=params.forcing_A,
     )
     precond = fem.A_system_preconditioner(mesh, params.sigma, tau)
@@ -385,9 +381,9 @@ def run(
     zero). The returned state carries the full per-step time series and any
     recorded violations; whether violations warn or abort is set by
     ``params.checks``. A step that is not finite raises
-    :class:`NonFiniteStateError` before any check runs. A step's solver
-    error, aborting check or non-finite value propagates with ``state``
-    attached.
+    :class:`NonFiniteStateError` before any check runs. Whatever stops the
+    loop (a solver error, an aborting check, a non-finite value, an
+    interrupt) propagates with ``state``, the accepted steps, attached.
     """
     state = initialize(mesh, params.A0, params.psi0, params)
     pending = sorted(float(s) for s in snapshot_times)
@@ -423,7 +419,8 @@ def run(
             for name, value in (("A", A_new), ("psi", psi_new)):
                 if not np.isfinite(value).all():
                     raise NonFiniteStateError(f"{name} is not finite at t={t_new!r}")
-            row = _energy_row(mesh, params, Lhat, A_new, psi_new, t_new, tau)
+            energy = discrete_energy(mesh, Lhat, A_new, psi_new, params.H, t_new)
+            row = TimeSeriesRow(t_new, tau, *energy, mbp_stats(psi_new)[0])
             g_prev = state.history[-1].total
 
             # written as ``not <=`` so that NaN counts as a violation
@@ -443,7 +440,7 @@ def run(
             state.history.append(row)
             state.recent.push(A_new)
             emit_due()
-    except (ConvergenceError, ViolationError, NonFiniteStateError) as exc:
+    except BaseException as exc:
         exc.state = state  # the accepted steps, for the caller to keep
         raise
 

@@ -133,22 +133,29 @@ def forced_nonconvergence(*args, **kwargs):
     raise tdglfem.linalg.ConvergenceError("cg forced to fail", iterations=0, residual=1.0)
 
 
+def interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
 #: calls ``initialize`` makes before the first step
-INIT_CALLS = {"discrete_energy": 1, "mbp_stats": 2}
+INIT_CALLS = {"discrete_energy": 1, "mbp_stats": 1}
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize(
-    "target, failing, message",
+    "target, failing, code, message",
     [
-        ("cg_solve", forced_nonconvergence, "cg forced to fail"),
-        ("discrete_energy", lambda *args: (np.inf, 0.0, 0.0), "energy grew from "),
-        ("mbp_stats", lambda psi: (2.0, 0), "nodal modulus reached 2.0 > 1 at t=0.75"),
-        ("step_psi", nan_psi, "psi is not finite at t=0.75"),
+        ("cg_solve", forced_nonconvergence, 3, "solver error: cg forced to fail"),
+        ("discrete_energy", lambda *args: (np.inf, 0.0, 0.0), 3, "solver error: energy grew from "),
+        ("mbp_stats", lambda psi: (2.0, 0), 3,
+         "solver error: nodal modulus reached 2.0 > 1 at t=0.75"),
+        ("step_psi", nan_psi, 3, "solver error: psi is not finite at t=0.75"),
+        ("cg_solve", interrupt, 130, "interrupted at t=0.5\n"),
     ],
-    ids=["convergence", "energy", "bound", "nonfinite"],
+    ids=["convergence", "energy", "bound", "nonfinite", "interrupt"],
 )
-def test_failed_run_keeps_accepted_rows(tmp_path, capsys, monkeypatch, target, failing, message):
+def test_failed_run_keeps_accepted_rows(tmp_path, capsys, monkeypatch, target, failing, code,
+                                        message):
     real = getattr(tdglfem.stepper, target)
     calls = []
 
@@ -157,16 +164,21 @@ def test_failed_run_keeps_accepted_rows(tmp_path, capsys, monkeypatch, target, f
         third = len(calls) == 3 + INIT_CALLS.get(target, 0)
         return (failing if third else real)(*args, **kwargs)
 
-    monkeypatch.setattr(tdglfem.stepper, target, third_step_fails)
     out_dir = tmp_path / "r"
     cfg = write_config(
         tmp_path, f"scenario = lshape\nM = 2\nT = 1\ntau = 0.25\nchecks = abort\nout = {out_dir}\n"
     )
-    assert main(["run", "--config", cfg]) == 3
-    assert f"solver error: {message}" in capsys.readouterr().err
-    lines = (out_dir / "series.csv").read_text().splitlines()
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "whole")]) == 0
+    monkeypatch.setattr(tdglfem.stepper, target, third_step_fails)
+    capsys.readouterr()
+    assert main(["run", "--config", cfg]) == code
+    assert message in capsys.readouterr().err
+    text = (out_dir / "series.csv").read_text()
+    lines = text.splitlines()
     assert lines[0] == CSV_HEADER
     assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0, 0.25, 0.5]
+    # the kept rows are the uninterrupted run's, byte for byte
+    assert (tmp_path / "whole" / "series.csv").read_text().startswith(text)
     assert not (out_dir / "final.vtk").exists()
 
 

@@ -38,8 +38,7 @@ def stiffness(mesh):
 
 
 def edge_mass(mesh):
-    ops = fem._ops(mesh)
-    return ops.edge_pattern.csr_from_data(ops._edge_mass_data.copy())
+    return fem._ops(mesh).mass.copy()
 
 
 def curl_curl(mesh):
@@ -314,9 +313,9 @@ def test_csr_pattern_matches_unique(mesh):
     for local, n in ((mesh.cells, mesh.num_vertices), (dofs, num_edge_dofs(mesh))):
         rows = np.repeat(local, local.shape[1], axis=1)
         cols = np.tile(local, local.shape[1])
-        pattern = fem.CsrPattern(rows, cols, n)
+        pattern, slots = fem.CsrPattern.of_entries(rows, cols, n)
         ukeys, inv = np.unique(rows.ravel() * n + cols.ravel(), return_inverse=True)
-        np.testing.assert_array_equal(pattern._inv, inv)
+        np.testing.assert_array_equal(slots, inv)
         np.testing.assert_array_equal(pattern.indices, ukeys % n)
         np.testing.assert_array_equal(
             pattern.indptr, np.searchsorted(ukeys, np.arange(n + 1) * n)
@@ -552,6 +551,42 @@ def test_curl_preconditioner_refactors_on_new_c(square4, rng):
     np.testing.assert_array_equal(ops.cell_space_preconditioner(2.0)(x), first)
 
 
+def test_curl_preconditioner_keeps_one_slot(rng):
+    # one (path, c) slot: the same path and c reuse it, anything else builds anew
+    ops = fem._ops(holed_square_mesh(2))
+    assert ops.cell_space_pays(0.01) and not ops.cell_space_pays(50.0)
+    x = rng.standard_normal(ops.n_edge_dofs)
+    cell = ops.curl_preconditioner(0.01, 1.0)
+    assert ops.curl_preconditioner(0.01, 1.0) is cell
+    vertex = ops.curl_preconditioner(50.0, 1.0)
+    np.testing.assert_array_equal(vertex(x), ops.vertex_block_preconditioner(1.0)(x))
+    assert ops.curl_preconditioner(50.0, 1.0) is vertex
+    again = ops.curl_preconditioner(0.01, 1.0)
+    assert again is not cell
+    np.testing.assert_array_equal(again(x), cell(x))
+    assert ops.curl_preconditioner(0.01, 2.0) is not again
+
+
+def test_vertex_path_holds_no_cell_path_arrays():
+    # the cost rule reads the numbering; the band and the permuted curl wait for the cell path
+    mesh = holed_square_mesh(2)
+    ops = fem._ops(mesh)
+    assert not ops.cell_space_pays(1 / 0.02)
+    fem.A_system_preconditioner(mesh, 1.0, 0.02)(np.ones(num_edge_dofs(mesh)))
+    assert "_cell_numbering" in vars(ops) and "_cell_path" not in vars(ops)
+    by_cells = [k for k, v in vars(ops).items() if sp.issparse(v) and v.shape[0] == mesh.num_cells]
+    assert by_cells == ["curl"]
+    fem.A_system_preconditioner(mesh, 1.0, 100.0)
+    assert ops.cell_space_pays(1 / 100.0) and "_cell_path" in vars(ops)
+
+
+@MESH_FAMILIES
+def test_patterns_keep_no_slot_map(mesh):
+    ops = fem._ops(mesh)
+    for pattern in (ops.nodal_pattern, ops.edge_pattern):
+        assert set(vars(pattern)) == {"indices", "indptr", "nnz", "shape"}
+
+
 def vertex_block_part(mesh, c):
     """Entries of ``c M + K`` between dofs sitting at one vertex, dense."""
     P = (c * edge_mass(mesh) + curl_curl(mesh)).toarray()
@@ -624,7 +659,8 @@ def test_cell_numbering_band_is_narrow():
     pos = fem._cuthill_mckee(coupling)
     assert sorted(pos) == list(range(mesh.num_cells))
     rows, cols = coupling.nonzero()
-    bw = fem._ops(mesh)._cell_band[-1]
+    numbering, bw = fem._ops(mesh)._cell_numbering
+    np.testing.assert_array_equal(numbering, pos)
     assert np.abs(pos[rows] - pos[cols]).max() == bw <= 64
 
 
@@ -650,7 +686,9 @@ def rotated(mesh, degrees):
 )
 def test_cell_band_width(build, bw):
     mesh = build()
-    *_, band, width = fem._ops(mesh)._cell_band
+    ops = fem._ops(mesh)
+    _, width = ops._cell_numbering
+    _, _, band, *_ = ops._cell_path
     assert width == bw
     # the band holds the lower triangle of the coupling, permuted, entry for entry
     assert len(band) == (cell_coupling(mesh).nnz + mesh.num_cells) // 2

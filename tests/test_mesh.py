@@ -18,7 +18,7 @@ from tdglfem.mesh import (
     parse_native,
     triangle_angles,
 )
-from tdglfem.scenarios import lshape_mesh
+from tdglfem.scenarios import holed_square_mesh, lshape_mesh, unit_square_mesh
 
 from mutations import mutated
 
@@ -109,6 +109,28 @@ def test_edges_lexicographic_and_permutation_invariant():
     b = Mesh.from_cells(verts, np.array([[2, 3, 0], [1, 2, 0]]))
     np.testing.assert_array_equal(a.edges, b.edges)
     assert (a.edges[:, 0] < a.edges[:, 1]).all()
+
+
+def vertex_permuted(mesh, seed=0):
+    perm = np.random.default_rng(seed).permutation(mesh.num_vertices)
+    verts = np.empty_like(mesh.vertices)
+    verts[perm] = mesh.vertices
+    return Mesh.from_cells(verts, perm[mesh.cells])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: unit_square_mesh(4), lambda: lshape_mesh(8), lambda: holed_square_mesh(2),
+     lambda: vertex_permuted(holed_square_mesh(2))],
+    ids=["square4", "lshape8", "holed2", "holed2-permuted"],
+)
+def test_edge_table_matches_row_unique(build):
+    # the edge table comes from one int64 key per edge; rows of (lo, hi) sort the same way
+    mesh = build()
+    raw = np.stack([mesh.cells, np.roll(mesh.cells, -1, axis=1)], axis=2)
+    edges, inverse = np.unique(np.sort(raw.reshape(-1, 2), axis=1), axis=0, return_inverse=True)
+    np.testing.assert_array_equal(mesh.edges, edges)
+    np.testing.assert_array_equal(mesh.cell_edges, inverse.reshape(-1, 3))
 
 
 def test_cell_edges_consistent(square2):

@@ -470,13 +470,13 @@ def test_energy_violation_off(square2, monkeypatch):
 
 
 def rigged_mbp(monkeypatch, value=2.0):
-    # the two calls of ``initialize`` see clean initial data so the bound
+    # the one call of ``initialize`` sees clean initial data so the bound
     # stays armed, later calls report ``value``
     counter = {"k": 0}
 
     def fake(psi):
         counter["k"] += 1
-        return (1.0, 0) if counter["k"] <= 2 else (value, 0)
+        return (1.0, 0) if counter["k"] <= 1 else (value, 0)
 
     monkeypatch.setattr(stepper, "mbp_stats", fake)
 
