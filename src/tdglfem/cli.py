@@ -9,8 +9,9 @@ Exit codes: 0 on success, 2 for configuration problems (bad config text,
 unreadable, non-UTF-8 or malformed mesh and config files, inconsistent
 parameters), 3 for solver failures or policy refusals (iteration caps,
 obtuse meshes, aborted checks), 130 for an interrupt (``SIGINT``,
-Ctrl-C); a ``run`` stopped in its time loop, by a failure or an interrupt,
-still writes the accepted rows.
+Ctrl-C), 143 for a termination (``SIGTERM``, under the ``tdglfem`` command
+of :func:`console`); a ``run`` stopped in its time loop, by a failure, an
+interrupt or a termination, still writes the accepted rows.
 
 Heavy imports happen inside the handlers so ``--threads`` can pin the BLAS
 thread pools through the environment before numpy loads.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 from dataclasses import replace
 
@@ -266,6 +268,24 @@ def _cmd_scenarios(args) -> int:
     return 0
 
 
+class Terminated(BaseException):
+    """A ``SIGTERM`` under :func:`console`: like ``KeyboardInterrupt``, no
+    ``except Exception`` catches it."""
+
+
+def _raise_terminated(signum, frame):
+    raise Terminated
+
+
+def console() -> int:
+    """The ``tdglfem`` command: :func:`main`, with ``SIGTERM`` raised as
+    :class:`Terminated`, so that a terminated run keeps its accepted rows.
+    ``main`` itself installs no handler, as other programs call it in their
+    own process."""
+    signal.signal(signal.SIGTERM, _raise_terminated)
+    return main()
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if getattr(args, "threads", None):  # only ``run`` and ``convergence`` take it
@@ -285,11 +305,12 @@ def main(argv=None) -> int:
     except (ConvergenceError, ViolationError, NonFiniteStateError, ValueError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    except KeyboardInterrupt as exc:
+    except (KeyboardInterrupt, Terminated) as exc:
+        stopped, code = ("terminated", 143) if isinstance(exc, Terminated) else ("interrupted", 130)
         state = getattr(exc, "state", None)
-        print("interrupted" + (f" at t={state.t:g}" if state is not None else ""), file=sys.stderr)
-        return 130
+        print(stopped + (f" at t={state.t:g}" if state is not None else ""), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

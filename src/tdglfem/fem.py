@@ -27,7 +27,12 @@ one fixed sparse scatter into the CSR data. Each edge dof sits at one
 corner, so a weighted edge mass has the entries ``W[v(i), v(j)] (t_i .
 t_j)``, with ``W`` the cell's 3x3 nodal weights and ``t`` the dual basis of
 the edge tangents at the corner. The maps, scatters and sparsity patterns
-are built once per mesh and cached (keyed on mesh identity).
+are built once per mesh and cached (keyed on mesh identity). The patterns
+and each cell entry's slot in them come in closed form from the edge table,
+as a dof map gives them (Logg, Mardal & Wells, 2012), with no sort of the
+cell entries: a nodal row holds the diagonal and the edges at its vertex,
+and the rows of edge ``e``'s two dofs hold the dofs of every edge of the one
+or two cells at ``e``, in edge order.
 
 Closed-form fields reach the quadrature points only through ``at_quad``, as
 (nc, nq) or, components first, (2, nc, nq); ``squared_l2`` integrates them.
@@ -97,21 +102,6 @@ class CsrPattern:
         self.nnz = len(indices)
         self.shape = (n, n)
 
-    @classmethod
-    def of_entries(cls, rows, cols, n):
-        """The pattern of per-cell entry arrays, and each entry's slot in its
-        sorted storage, for the build to sum entries into by ``np.bincount``."""
-        keys = np.ravel(rows).astype(np.int64) * n + np.ravel(cols)
-        # ``np.unique(keys, return_inverse=True)`` by one stable sort and a cumsum
-        order = np.argsort(keys, kind="stable")
-        first = np.r_[True, np.diff(keys[order]) != 0]
-        slots = np.empty_like(order)
-        slots[order] = np.cumsum(first) - 1
-        ukeys = keys[order[first]]
-        indices = (ukeys % n).astype(np.int32)
-        indptr = np.searchsorted(ukeys, np.arange(n + 1) * n).astype(np.int32)
-        return cls(indices, indptr, n), slots
-
     def csr_from_data(self, data) -> sp.csr_matrix:
         """Wrap already-reduced data (length ``nnz``) without copying."""
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
@@ -128,6 +118,10 @@ def _gram(x, y) -> np.ndarray:
     return (x[:, None] * x[None, :] + y[:, None] * y[None, :]).reshape(9, -1)
 
 
+#: local edges meeting at each local vertex
+_INCIDENT = ((0, 2), (0, 1), (1, 2))
+
+
 class _MeshOps:
     """Per-mesh precomputed geometry, dof-to-corner map and CSR scatters.
 
@@ -135,9 +129,6 @@ class _MeshOps:
     run over long contiguous rows: corner values are (component, corner,
     cell), and the scatters read per-cell 3x3 entries as (row, column, cell).
     """
-
-    #: local edges meeting at each local vertex
-    _INCIDENT = ((0, 2), (0, 1), (1, 2))
 
     def __init__(self, mesh: Mesh):
         # arrays only: a reference to the mesh would keep it alive as a cache key
@@ -160,13 +151,10 @@ class _MeshOps:
         self.d = np.bincount(
             cells.ravel(), weights=np.repeat(self.area / 3.0, 3), minlength=nv
         )
-        rows3 = np.broadcast_to(cells[:, :, None], (nc, 3, 3))
-        cols3 = np.broadcast_to(cells[:, None, :], (nc, 3, 3))
-        self.nodal_pattern, slots = CsrPattern.of_entries(rows3, cols3, nv)
+        self.nodal_pattern, slots = _nodal_layout(mesh)
         # per-cell 3x3 entries per unit area, (3, 3, nc), -> CSR data
-        slots = slots.reshape(nc, 9).T.ravel()
         self._nodal_scatter = sp.csc_matrix(
-            (np.tile(self.area, 9), slots, np.arange(9 * nc + 1)), shape=(self.nodal_pattern.nnz, 9 * nc)
+            (np.tile(self.area, 9), slots.ravel(), np.arange(9 * nc + 1)), shape=(self.nodal_pattern.nnz, 9 * nc)
         )
         self._stiff_data = self._nodal_scatter @ _gram(*self.grads).ravel()
 
@@ -175,7 +163,7 @@ class _MeshOps:
         tang = mesh.edge_tangents[eid]  # (nc, 3, 2)
         lo_vertex = mesh.edges[eid, 0].T  # (3, nc)
 
-        dofs = np.empty((nc, 6), dtype=np.int64)
+        dofs = np.empty((nc, 6), dtype=np.int32)
         dofs[:, 0::2] = 2 * eid
         dofs[:, 1::2] = 2 * eid + 1
 
@@ -184,9 +172,9 @@ class _MeshOps:
         # sum_s u[at[v, s]] dual[:, v, s], with ``dual`` (2, 3, 2, nc) the dual
         # basis of the two edge tangents meeting at v
         tx, ty = tang.T  # (3, nc) each
-        at = np.empty((3, 2, nc), dtype=np.int64)
+        at = np.empty((3, 2, nc), dtype=np.int32)
         dual = np.empty((2, 3, 2, nc))
-        for v, (j1, j2) in enumerate(self._INCIDENT):
+        for v, (j1, j2) in enumerate(_INCIDENT):
             det = tx[j1] * ty[j2] - ty[j1] * tx[j2]
             at[v, 0] = 2 * j1 + (self.corner_vertices[v] != lo_vertex[j1])
             at[v, 1] = 2 * j2 + (self.corner_vertices[v] != lo_vertex[j2])
@@ -194,11 +182,12 @@ class _MeshOps:
 
         self.n_edge_dofs = n = 2 * mesh.num_edges
         cell = np.arange(nc)
+        dof_at = dofs[cell, at]  # (3, 2, nc)
         # dof -> corner vectors, rows ordered (component, corner, cell)
         self.cmap = sp.csr_matrix(
             (
                 dual.transpose(0, 1, 3, 2).ravel(),
-                np.broadcast_to(dofs[cell, at].transpose(0, 2, 1), (2, 3, nc, 2)).ravel(),
+                np.broadcast_to(dof_at.transpose(0, 2, 1), (2, 3, nc, 2)).ravel(),
                 np.arange(0, 12 * nc + 1, 2),
             ),
             shape=(6 * nc, n),
@@ -206,33 +195,34 @@ class _MeshOps:
 
         # curl is constant per cell: sum_v grad(lam_v) x (corner vector v)
         gx, gy = self.grads[:, :, None]
+        curl_at = gx * dual[1] - gy * dual[0]  # (3, 2, nc)
         curl_coeff = np.empty((nc, 6))
-        curl_coeff[cell, at] = gx * dual[1] - gy * dual[0]
+        curl_coeff[cell, at] = curl_at
         self.curl = sp.csr_matrix(
             (curl_coeff.ravel(), dofs.ravel(), np.arange(0, 6 * nc + 1, 6)), shape=(nc, n)
         )
 
         self.dof_vertex = mesh.edges.ravel()  # dof 2e sits at edges[e, 0], 2e+1 at edges[e, 1]
-        rows6 = np.broadcast_to(dofs[:, :, None], (nc, 6, 6))
-        cols6 = np.broadcast_to(dofs[:, None, :], (nc, 6, 6))
-        self.edge_pattern, edge_slots = CsrPattern.of_entries(rows6, cols6, n)
+        self.edge_pattern, slots = _edge_layout(mesh, dof_at)
         # weighted edge mass: entry (i, j) of a cell is W[v(i), v(j)] (dual_i . dual_j)
         # for its nodal weights W, so the scatter's column (v, w, c) feeds the
-        # four dof pairs (s, r) at corners v and w
-        slots = np.empty((3, 3, nc, 2, 2), dtype=np.int32)
-        dots = np.empty((3, 3, nc, 2, 2))
+        # four dof pairs (s, r) at corners v and w; and the curl-curl entries
+        # (area k_i) k_j, in the same layout
+        dots, curl_local = np.empty((3, 3, nc, 2, 2)), np.empty((3, 3, nc, 2, 2))
+        area_curl = self.area * curl_at
         for s, r in np.ndindex(2, 2):
-            local = 36 * cell + 6 * at[:, None, s] + at[None, :, r]
-            slots[..., s, r] = edge_slots[local]
             dots[..., s, r] = self.area * sum(d[:, None, s] * d[None, :, r] for d in dual)
+            np.multiply(area_curl[:, None, s], curl_at[None, :, r], out=curl_local[..., s, r])
         self._mass_scatter = sp.csc_matrix(
             (dots.ravel(), slots.ravel(), np.arange(0, 36 * nc + 1, 4, dtype=np.int32)),
             shape=(self.edge_pattern.nnz, 9 * nc),
         )
         self.mass = self.edge_pattern.csr_from_data(self._mass_scatter @ np.repeat(_M2.ravel(), nc))
-        curl_local = self.area[:, None, None] * curl_coeff[:, :, None] * curl_coeff[:, None, :]
-        self._curl_data = np.bincount(edge_slots, weights=curl_local.ravel(),
-                                      minlength=self.edge_pattern.nnz)
+        # a slot sums at most two cells' entries, so the order of the sum is immaterial
+        self._curl_data = sp.csc_matrix(
+            (curl_local.ravel(), self._mass_scatter.indices, self._mass_scatter.indptr),
+            shape=self._mass_scatter.shape,
+        ) @ np.ones(9 * nc)
 
     # -- per-cell evaluation ---------------------------------------------------
 
@@ -372,6 +362,81 @@ class _MeshOps:
         if self._preconditioner[:2] != (path, c):
             self._preconditioner = (path, c, path(self, c))
         return self._preconditioner[2]
+
+
+def _nodal_layout(mesh: Mesh):
+    """The nodal CSR pattern, the diagonal and both directions of every edge,
+    and the slot of each cell's entry ``(k, l)``, as (3, 3, nc).
+
+    Row ``i`` holds the edges ``(lo, i)`` left of its diagonal and the edges
+    ``(i, hi)`` right of it. The edge table is sorted by ``(lo, hi)``, so the
+    right parts run in edge order, and a stable sort by ``hi`` puts the left
+    parts in order.
+    """
+    nv, ne = mesh.num_vertices, mesh.num_edges
+    lo, hi = mesh.edges.T
+    left, right = np.bincount(hi, minlength=nv), np.bincount(lo, minlength=nv)
+    indptr = np.zeros(nv + 1, dtype=np.int32)
+    np.cumsum(left + right + 1, out=indptr[1:])
+    diag = indptr[:-1] + left
+    upper = diag[lo] + 1 + np.arange(ne, dtype=np.int32) - (np.cumsum(right) - right)[lo]
+    by_hi = np.argsort(hi, kind="stable")
+    lower = np.empty(ne, dtype=np.int32)
+    lower[by_hi] = indptr[hi[by_hi]] + np.arange(ne) - (np.cumsum(left) - left)[hi[by_hi]]
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[diag], indices[upper], indices[lower] = np.arange(nv), hi, lo
+
+    corner, edge = mesh.cells.T, mesh.cell_edges.T
+    slots = np.empty((3, 3, mesh.num_cells), dtype=np.int32)
+    for k, l in np.ndindex(3, 3):
+        if k == l:
+            slots[k, k] = diag[corner[k]]
+        else:
+            e = edge[k if l == (k + 1) % 3 else l]  # local edge j joins corners j and j + 1
+            slots[k, l] = np.where(corner[k] < corner[l], upper[e], lower[e])
+    return CsrPattern(indices, indptr, nv), slots
+
+
+def _edge_layout(mesh: Mesh, dof_at):
+    """The edge-space CSR pattern, and the slot of each local dof pair in the
+    mass scatter's layout (corner v, corner w, cell, side s, side r), for the
+    dofs ``dof_at`` (3, 2, nc) at each cell's corners.
+
+    Rows ``2e`` and ``2e + 1`` hold the dofs of every edge of the one or two
+    cells at edge ``e``, in edge order. Two cells share at most one edge
+    (``Mesh.from_cells`` refuses a repeated triangle), so that union is the
+    cell's three edges and the two further edges of the cell across ``e``, and
+    a pair's slot is its row's start, plus two places per edge of that union
+    below the column's edge, plus the column's side of its edge.
+    """
+    ne, nc, edge = mesh.num_edges, mesh.num_cells, np.ascontiguousarray(mesh.cell_edges.T)
+    # entries ``j * nc + c``; the cell across each is the other entry of its edge in a stable sort
+    flat = edge.ravel()
+    order = np.argsort(flat, kind="stable")
+    second = np.flatnonzero(flat[order[1:]] == flat[order[:-1]]) + 1
+    across = np.full(len(flat), len(flat))
+    across[order[second - 1]], across[order[second]] = order[second], order[second - 1]
+    # that cell's two other edges, or ``ne``, above every edge, at the boundary
+    further = [np.append(np.roll(edge, -k, axis=0), ne)[across].reshape(edge.shape) for k in (1, 2)]
+
+    # rank[j, i]: the edges of the rows of local edge j below local edge i
+    own = [sum(edge[k] < edge[i] for k in range(3) if k != i) for i in range(3)]
+    rank = np.empty((3, 3, nc), dtype=np.int32)
+    for j, i in np.ndindex(3, 3):
+        rank[j, i] = own[i] + (further[0][j] < edge[i]) + (further[1][j] < edge[i])
+
+    indptr = np.zeros(2 * ne + 1, dtype=np.int32)
+    np.cumsum(np.repeat(4 * np.bincount(flat, minlength=ne) + 2, 2), out=indptr[1:])
+    js = [j for pair in _INCIDENT for j in pair]  # the local edge of each (corner, side)
+    below = rank[js][:, js].reshape(3, 2, 3, 2, nc)
+    row_start, side = indptr[dof_at], dof_at & 1
+    slots = np.empty((3, 3, nc, 2, 2), dtype=np.int32)
+    for s, r in np.ndindex(2, 2):
+        slots[..., s, r] = row_start[:, None, s] + 2 * below[:, s, :, r] + side[None, :, r]
+    # every entry of the pattern is some cell's pair
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[slots] = dof_at.transpose(0, 2, 1)[None, :, :, None, :]
+    return CsrPattern(indices, indptr, 2 * ne), slots
 
 
 _pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"))

@@ -111,8 +111,8 @@ class Mesh:
 
         Cells with negative signed area are flipped; non-finite coordinates,
         zero-area cells and vertices referenced by no cell are rejected. Edge
-        topology is derived here and an edge incident to more than two cells
-        is an error.
+        topology is derived here; an edge incident to more than two cells,
+        and two cells on the same three vertices, are errors.
         """
         verts = np.ascontiguousarray(np.asarray(vertices, dtype=float))
         tris = np.ascontiguousarray(np.asarray(cells, dtype=np.int64))
@@ -158,6 +158,13 @@ class Mesh:
         if counts.max() > 2:
             raise ValueError("non-conforming mesh: an edge is shared by more than two cells")
         boundary = counts == 1
+        # a repeated triangle shares every edge with its copy, so the two cells
+        # at such an edge have the same opposite corner
+        opposite = tris[:, [2, 0, 1]]  # local edge j faces corner j + 2
+        kept = np.empty(len(edges), dtype=np.int64)
+        kept[cell_edges] = opposite  # one of the cells at each edge
+        if np.bincount(cell_edges[kept[cell_edges] == opposite], minlength=len(edges)).max() > 1:
+            raise ValueError("repeated triangle: two cells have the same three vertices")
 
         side = verts[edges[:, 1]] - verts[edges[:, 0]]
         h = float(np.linalg.norm(side, axis=1).max())
@@ -465,28 +472,21 @@ class MeshAudit:
     quasi_uniformity_ratio: float
 
 
-def triangle_angles(mesh: Mesh) -> np.ndarray:
-    """Interior angles in radians, shape (nc, 3), ordered as the cell vertices."""
-    p = mesh.vertices[mesh.cells]  # (nc, 3, 2)
-    angles = np.empty((mesh.num_cells, 3))
-    for v in range(3):
-        u1 = p[:, (v + 1) % 3] - p[:, v]
-        u2 = p[:, (v + 2) % 3] - p[:, v]
-        cosv = np.einsum("cx,cx->c", u1, u2)
-        cosv /= np.linalg.norm(u1, axis=1) * np.linalg.norm(u2, axis=1)
-        angles[:, v] = np.arccos(np.clip(cosv, -1.0, 1.0))
-    return angles
-
-
 def audit_mesh(mesh: Mesh) -> MeshAudit:
-    """Audit angles and uniformity. Reports only; callers decide policy."""
-    angles = triangle_angles(mesh)
-    amin = float(angles.min())
-    amax = float(angles.max())
+    """Audit angles and uniformity. Reports only; callers decide policy.
+
+    The angle at a corner is the arccos of its cosine, which decreases, so
+    only the largest and the smallest cosine are taken to angles.
+    """
+    p = mesh.vertices[mesh.cells]  # (nc, 3, 2)
+    side = np.roll(p, -1, axis=1) - p  # from corner v to corner v + 1
+    length = np.sqrt((side * side).sum(axis=2))
+    # at corner v, the sides to corners v + 1 and v + 2 are side v and minus side v - 1
+    cos = np.einsum("cvx,cvx->cv", side, -np.roll(side, 1, axis=1))
+    cos /= length * np.roll(length, 1, axis=1)
+    amax, amin = np.arccos(np.clip([cos.min(), cos.max()], -1.0, 1.0))
     right = np.pi / 2
-    p = mesh.vertices[mesh.cells]
-    sides = np.linalg.norm(p - np.roll(p, -1, axis=1), axis=2)
-    diam = sides.max(axis=1)
+    diam = length.max(axis=1)
     return MeshAudit(
         min_angle_deg=float(np.degrees(amin)),
         max_angle_deg=float(np.degrees(amax)),

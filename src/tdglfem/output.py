@@ -8,6 +8,7 @@ runs of the same configuration produce identical files.
 from __future__ import annotations
 
 import os
+import weakref
 
 import numpy as np
 
@@ -78,6 +79,25 @@ def _lines(fmt: str, rows) -> str:
     return (fmt + "\n") * len(rows) % tuple(rows.ravel().tolist())
 
 
+#: the mesh part of a snapshot, ``POINTS``, ``CELLS`` and ``CELL_TYPES``, formatted once per mesh
+_MESH_TEXT: "weakref.WeakKeyDictionary[Mesh, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _mesh_text(mesh: Mesh) -> tuple:
+    parts = _MESH_TEXT.get(mesh)
+    if parts is None:
+        nv, nc = mesh.num_vertices, mesh.num_cells
+        parts = _MESH_TEXT[mesh] = (
+            f"POINTS {nv} double\n",
+            _lines("%.12e %.12e %.12e", np.column_stack([mesh.vertices, np.zeros(nv)])),
+            f"CELLS {nc} {4 * nc}\n",
+            _lines("3 %d %d %d", mesh.cells),
+            f"CELL_TYPES {nc}\n",
+            "5\n" * nc,
+        )
+    return parts
+
+
 def format_vtk_snapshot(mesh: Mesh, A, psi, t: float) -> str:
     """Legacy ASCII VTK unstructured grid with the standard field set.
 
@@ -96,12 +116,7 @@ def format_vtk_snapshot(mesh: Mesh, A, psi, t: float) -> str:
         f"order parameter and vector potential at t={t!r}\n",
         "ASCII\n",
         "DATASET UNSTRUCTURED_GRID\n",
-        f"POINTS {nv} double\n",
-        _lines("%.12e %.12e %.12e", np.column_stack([mesh.vertices, np.zeros(nv)])),
-        f"CELLS {nc} {4 * nc}\n",
-        _lines("3 %d %d %d", mesh.cells),
-        f"CELL_TYPES {nc}\n",
-        "5\n" * nc,
+        *_mesh_text(mesh),
     ]
     for header, fields in (
         (f"POINT_DATA {nv}\n", (("psi_abs", np.abs(psi)), ("psi_re", psi.real), ("psi_im", psi.imag))),

@@ -1,6 +1,8 @@
 """Reference paths that only the tests use: the dense ``phi`` oracle, the
-random-vector audit of ``L = D^{-1} Lhat - mu I``, the edge interpolant and
-the quadrature form of every assembly kernel.
+random-vector audit of ``L = D^{-1} Lhat - mu I``, the edge interpolant,
+the quadrature form of every assembly kernel, the sparsity patterns and
+scatters built by sorting every cell entry, and the mesh audit taken over
+every angle.
 
 Not collected by pytest; the tests import it as ``from oracles import ...``.
 """
@@ -11,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from tdglfem.fem import CsrPattern
+from tdglfem.mesh import ANGLE_TOL, MeshAudit
 from tdglfem.quadrature import POINTS, WEIGHTS
 
 
@@ -260,3 +264,90 @@ def quadrature_A_rhs(mesh, psi, A_prev, H, kappa, sigma, tau, t, forcing=None):
 def quadrature_ritz_load(mesh, A_func, curl_func):
     """Right-hand side of the Ritz projection: ``(curl_func, curl B) + (A_func, B)``."""
     return _vector_load(mesh, _at_quad(mesh, A_func)) + _curl_load(mesh, curl_func)
+
+
+# ---------------------------------------------------------------------------
+# sparsity patterns and scatters by sorting every cell entry
+
+
+def csr_pattern_of_entries(rows, cols, n):
+    """The CSR pattern of per-cell entry arrays, and each entry's slot in its
+    sorted storage: ``np.unique(keys, return_inverse=True)`` by one stable
+    sort and a cumsum."""
+    keys = np.ravel(rows).astype(np.int64) * n + np.ravel(cols)
+    order = np.argsort(keys, kind="stable")
+    first = np.r_[True, np.diff(keys[order]) != 0]
+    slots = np.empty_like(order)
+    slots[order] = np.cumsum(first) - 1
+    ukeys = keys[order[first]]
+    indices = (ukeys % n).astype(np.int32)
+    indptr = np.searchsorted(ukeys, np.arange(n + 1) * n).astype(np.int32)
+    return CsrPattern(indices, indptr, n), slots
+
+
+def entry_sorted_layout(mesh, ops):
+    """The nodal and edge patterns, the nodal and mass scatters and the
+    curl-curl data of ``ops = fem._MeshOps(mesh)``, with every slot found by
+    :func:`csr_pattern_of_entries`. The per-entry values are ``ops``'s own
+    (the scatters' data, the per-cell curl rows), so this checks the slots."""
+    cells, nc = mesh.cells, mesh.num_cells
+    nodal, slots = csr_pattern_of_entries(np.repeat(cells, 3, axis=1), np.tile(cells, 3),
+                                          mesh.num_vertices)
+    nodal_scatter = sp.csc_matrix(
+        (ops._nodal_scatter.data, slots.reshape(nc, 9).T.ravel(), ops._nodal_scatter.indptr),
+        shape=(nodal.nnz, 9 * nc),
+    )
+
+    eid, lo = mesh.cell_edges, mesh.edges[mesh.cell_edges, 0]
+    dofs = np.stack([2 * eid, 2 * eid + 1], axis=2).reshape(-1, 6)
+    edge, slots = csr_pattern_of_entries(np.repeat(dofs, 6, axis=1), np.tile(dofs, 6),
+                                         2 * mesh.num_edges)
+    slots = slots.reshape(nc, 6, 6)
+    # the local dof of each (corner, side), (3, nc, 2); the scatter's layout is (v, w, c, s, r)
+    at = np.stack([np.stack([2 * j + (cells[:, v] != lo[:, j]) for j in pair], axis=1)
+                   for v, pair in enumerate(((0, 2), (0, 1), (1, 2)))])
+    cell = np.arange(nc)[None, None, :, None, None]
+    mass_slots = slots[cell, at[:, None, :, :, None], at[None, :, :, None, :]]
+    mass_scatter = sp.csc_matrix(
+        (ops._mass_scatter.data, mass_slots.ravel(), ops._mass_scatter.indptr),
+        shape=(edge.nnz, 9 * nc),
+    )
+    rows = ops.curl.data.reshape(nc, 6)  # each cell's curl row, in its local dof order
+    local = mesh.cell_areas[:, None, None] * rows[:, :, None] * rows[:, None, :]
+    curl_data = np.bincount(slots.ravel(), weights=local.ravel(), minlength=edge.nnz)
+    return nodal, nodal_scatter, edge, mass_scatter, curl_data
+
+
+# ---------------------------------------------------------------------------
+# the mesh audit over every angle
+
+
+def triangle_angles(mesh):
+    """Interior angles in radians, shape (nc, 3), ordered as the cell vertices."""
+    p = mesh.vertices[mesh.cells]  # (nc, 3, 2)
+    angles = np.empty((mesh.num_cells, 3))
+    for v in range(3):
+        u1 = p[:, (v + 1) % 3] - p[:, v]
+        u2 = p[:, (v + 2) % 3] - p[:, v]
+        cosv = np.einsum("cx,cx->c", u1, u2)
+        cosv /= np.linalg.norm(u1, axis=1) * np.linalg.norm(u2, axis=1)
+        angles[:, v] = np.arccos(np.clip(cosv, -1.0, 1.0))
+    return angles
+
+
+def audit_every_angle(mesh):
+    """``mesh.audit_mesh`` with every angle taken to its arccos."""
+    angles = triangle_angles(mesh)
+    amin = float(angles.min())
+    amax = float(angles.max())
+    right = np.pi / 2
+    p = mesh.vertices[mesh.cells]
+    sides = np.linalg.norm(p - np.roll(p, -1, axis=1), axis=2)
+    diam = sides.max(axis=1)
+    return MeshAudit(
+        min_angle_deg=float(np.degrees(amin)),
+        max_angle_deg=float(np.degrees(amax)),
+        strictly_acute=bool(amax < right - ANGLE_TOL),
+        weakly_acute=bool(amax <= right + ANGLE_TOL),
+        quasi_uniformity_ratio=float(diam.max() / diam.min()),
+    )

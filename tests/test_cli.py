@@ -1,5 +1,6 @@
 import os
 import shutil
+import signal
 import subprocess
 import sys
 
@@ -182,6 +183,45 @@ def test_failed_run_keeps_accepted_rows(tmp_path, capsys, monkeypatch, target, f
     assert not (out_dir / "final.vtk").exists()
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_sigterm_keeps_accepted_rows(tmp_path, capsys, monkeypatch):
+    # the handler ``console`` installs turns a real SIGTERM into a stop that keeps the rows
+    real = tdglfem.stepper.cg_solve
+    calls = []
+
+    def third_step_terminates(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            os.kill(os.getpid(), signal.SIGTERM)
+        return real(*args, **kwargs)
+
+    out_dir = tmp_path / "r"
+    cfg = write_config(tmp_path, f"scenario = lshape\nM = 2\nT = 1\ntau = 0.25\nout = {out_dir}\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "whole")]) == 0
+    monkeypatch.setattr(tdglfem.stepper, "cg_solve", third_step_terminates)
+    monkeypatch.setattr(sys, "argv", ["tdglfem", "run", "--config", cfg])
+    capsys.readouterr()
+    previous = signal.getsignal(signal.SIGTERM)
+    try:
+        assert tdglfem.cli.console() == 143
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert capsys.readouterr().err == "terminated at t=0.5\n"
+    text = (out_dir / "series.csv").read_text()
+    assert [float(line.split(",")[0]) for line in text.splitlines()[1:]] == [0.0, 0.25, 0.5]
+    assert (tmp_path / "whole" / "series.csv").read_text().startswith(text)
+    assert not (out_dir / "final.vtk").exists()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_main_leaves_sigterm_alone(tmp_path):
+    # perfbench and other programs call ``main`` in their own process
+    before = signal.getsignal(signal.SIGTERM)
+    cfg = write_config(tmp_path, f"scenario = lshape\nM = 2\nT = 0.25\nout = {tmp_path / 'r'}\n")
+    assert main(["run", "--config", cfg]) == 0
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
 def test_run_rejects_bad_series_cadence_before_meshing(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a mesh was built")
@@ -318,7 +358,9 @@ $EndElements
     (NATIVE_ZERO_AREA, "1 degenerate (zero-area) cells"),
     (GMSH_ZERO_AREA, "1 degenerate (zero-area) cells"),
     (NATIVE_ZERO_AREA.replace("2 0\n", "nan 1\n"), "vertex coordinates must be finite"),
-], ids=["out-of-range", "native-zero-area", "gmsh-zero-area", "non-finite"])
+    ("tdgl-mesh 1\n3\n0 0\n1 0\n0 1\n2\n0 1 2\n2 1 0\n",
+     "repeated triangle: two cells have the same three vertices"),
+], ids=["out-of-range", "native-zero-area", "gmsh-zero-area", "non-finite", "repeated-triangle"])
 def test_check_mesh_malformed_file_is_config_error(tmp_path, capsys, text, message):
     path = tmp_path / "bad.msh"
     path.write_text(text)

@@ -24,7 +24,7 @@ from tdglfem.fem import (
     ritz_projection,
     squared_l2,
 )
-from tdglfem.mesh import Mesh, generate_uniform_square
+from tdglfem.mesh import Mesh, generate_uniform_square, load_gmsh_ascii
 from tdglfem.scenarios import holed_square_mesh, lshape_mesh, unit_square_mesh
 
 import oracles
@@ -313,13 +313,63 @@ def test_csr_pattern_matches_unique(mesh):
     for local, n in ((mesh.cells, mesh.num_vertices), (dofs, num_edge_dofs(mesh))):
         rows = np.repeat(local, local.shape[1], axis=1)
         cols = np.tile(local, local.shape[1])
-        pattern, slots = fem.CsrPattern.of_entries(rows, cols, n)
+        pattern, slots = oracles.csr_pattern_of_entries(rows, cols, n)
         ukeys, inv = np.unique(rows.ravel() * n + cols.ravel(), return_inverse=True)
         np.testing.assert_array_equal(slots, inv)
         np.testing.assert_array_equal(pattern.indices, ukeys % n)
         np.testing.assert_array_equal(
             pattern.indptr, np.searchsorted(ukeys, np.arange(n + 1) * n)
         )
+
+
+def _renumbered(mesh, rng):
+    """``mesh`` with its vertices and its cells in random orders."""
+    perm = rng.permutation(mesh.num_vertices)
+    verts = np.empty_like(mesh.vertices)
+    verts[perm] = mesh.vertices
+    return Mesh.from_cells(verts, perm[mesh.cells][rng.permutation(mesh.num_cells)])
+
+
+def _gmsh_text(mesh):
+    """``mesh`` as a Gmsh ASCII v2 file with sparse node ids, listed backwards."""
+    ids = 3 * np.arange(mesh.num_vertices) + 7
+    nodes = [f"{i} {x!r} {y!r} 0" for i, (x, y) in zip(ids, mesh.vertices.tolist())][::-1]
+    elems = [f"{k + 1} 2 2 0 1 {ids[a]} {ids[b]} {ids[c]}" for k, (a, b, c) in enumerate(mesh.cells)]
+    return "\n".join(["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", str(len(nodes)),
+                      *nodes, "$EndNodes", "$Elements", str(len(elems)), *elems,
+                      "$EndElements", ""])
+
+
+_L8 = lshape_mesh(8)
+_LAYOUT_MESHES = {
+    **{f"square{M}": unit_square_mesh(M) for M in (1, 2, 8, 32)},
+    **{f"lshape{M}": lshape_mesh(M) for M in (2, 8, 32)},
+    **{f"holed{M}": holed_square_mesh(M) for M in (1, 2, 8)},
+    "lshape8-reversed": Mesh.from_cells(_L8.vertices[::-1], (_L8.num_vertices - 1) - _L8.cells),
+    "lshape8-renumbered": _renumbered(_L8, np.random.default_rng(7)),
+    "lshape8-flipped": Mesh.from_cells(_L8.vertices, _L8.cells[:, ::-1]),
+    "gmsh": load_gmsh_ascii(_gmsh_text(_renumbered(lshape_mesh(4), np.random.default_rng(8)))),
+    "one-cell": Mesh.from_cells([[0.0, 0.0], [1.0, 0.0], [0.2, 0.9]], [[0, 1, 2]]),
+    "two-cells": Mesh.from_cells([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                                 [[0, 1, 2], [3, 2, 1]]),
+}
+
+
+@pytest.mark.parametrize("mesh", _LAYOUT_MESHES.values(), ids=_LAYOUT_MESHES.keys())
+def test_layout_matches_entry_sort(mesh, rng):
+    # the patterns and slots read off the edge table are those of sorting every cell entry
+    ops = fem._MeshOps(mesh)
+    nodal, nodal_scatter, edge, mass_scatter, curl_data = oracles.entry_sorted_layout(mesh, ops)
+    for built, sorted_ in ((ops.nodal_pattern, nodal), (ops.edge_pattern, edge)):
+        np.testing.assert_array_equal(built.indices, sorted_.indices)
+        np.testing.assert_array_equal(built.indptr, sorted_.indptr)
+    for built, sorted_ in ((ops._nodal_scatter, nodal_scatter), (ops._mass_scatter, mass_scatter)):
+        np.testing.assert_array_equal(built.indices, sorted_.indices)
+        x = rng.standard_normal(built.shape[1])
+        np.testing.assert_array_equal(built @ x, sorted_ @ x)
+    np.testing.assert_array_equal(ops.mass.data, mass_scatter @ np.repeat(fem._M2.ravel(), mesh.num_cells))
+    np.testing.assert_array_equal(ops._curl_data, curl_data)
+    np.testing.assert_array_equal(ops._stiff_data, nodal_scatter @ fem._gram(*ops.grads).ravel())
 
 
 @MESH_FAMILIES

@@ -294,6 +294,22 @@ def test_phi_apply_matches_oracle_at_large_dimension(rng, M, tau):
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("tau", [1 / 32, 1.0])
+def test_phi_apply_keeps_the_clenshaw_bytes(rng, tau):
+    # the loop runs in reused buffers, in the operation order of the expression form
+    Lhat, d, v = square_phi_problem(32, rng, scale=3.0)
+    mu, atol = 2.0, PHI_TOL * d_norm(d, v)
+    dh = np.sqrt(d)
+    g = float((abs(Lhat) @ (1.0 / dh) / dh).max())
+    a = linalg._phi1_chebyshev(tau, -(g + mu), -mu, atol / math.sqrt(float(d @ np.abs(v) ** 2)))
+    scale = 2.0 / (g * d)
+    b1, b2 = np.zeros_like(v), np.zeros_like(v)
+    for ak in a[:0:-1]:
+        b1, b2 = 2.0 * (b1 + scale * (Lhat @ b1)) - b2 + ak * v, b1
+    want = a[0] * v + b1 + scale * (Lhat @ b1) - b2
+    assert phi_apply(Lhat, d, mu, tau, v, atol=atol).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("scale", [0.0, 1.0, 10.0, 100.0])
 @pytest.mark.parametrize("tau", [1e-9, 1e-5, 1e-3, 0.2, 1.0, 10.0])
 def test_phi_apply_meets_a_priori_bound(rng, tau, scale):

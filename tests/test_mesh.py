@@ -16,11 +16,11 @@ from tdglfem.mesh import (
     load_gmsh_ascii,
     load_mesh_file,
     parse_native,
-    triangle_angles,
 )
 from tdglfem.scenarios import holed_square_mesh, lshape_mesh, unit_square_mesh
 
 from mutations import mutated
+from oracles import audit_every_angle, triangle_angles
 
 GMSH_SQUARE = """\
 $MeshFormat
@@ -169,6 +169,20 @@ def test_nonconforming_edge_rejected():
     Mesh.from_cells(verts, cells)  # fine: every edge in at most 2 cells
     with pytest.raises(ValueError):
         Mesh.from_cells(verts, bad)  # edge (0,2) appears three times
+
+
+@pytest.mark.parametrize("copy", [[0, 1, 2], [2, 1, 0], [1, 2, 0]], ids=["same", "flipped", "rotated"])
+def test_repeated_triangle_rejected(copy):
+    # the copy shares all three edges with the first cell, which the edge
+    # layout cannot hold (and which would count its mass twice)
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="repeated triangle"):
+        Mesh.from_cells(verts, np.array([[0, 1, 2], copy]))
+
+
+def test_repeated_triangle_file_is_malformed():
+    with pytest.raises(MalformedFileError, match="repeated triangle"):
+        parse_native("tdgl-mesh 1\n3\n0 0\n1 0\n0 1\n2\n0 1 2\n0 1 2\n")
 
 
 def test_empty_cells_rejected():
@@ -320,6 +334,23 @@ def test_load_mesh_file_sniffs(tmp_path, square2):
 def test_angles_sum(square4):
     angles = triangle_angles(square4)
     np.testing.assert_allclose(angles.sum(axis=1), math.pi, atol=1e-9)
+
+
+def _jittered(M, scale, seed):
+    mesh = unit_square_mesh(M)
+    rng = np.random.default_rng(seed)
+    return Mesh.from_cells(mesh.vertices + rng.normal(0.0, scale, mesh.vertices.shape), mesh.cells)
+
+
+@pytest.mark.parametrize("mesh", [
+    unit_square_mesh(1), unit_square_mesh(8), lshape_mesh(32), holed_square_mesh(8),
+    Mesh.from_cells([[0.0, 0.0], [4.0, 0.0], [0.2, 0.2]], [[0, 1, 2]]),
+    *(_jittered(6, scale, seed) for seed, scale in enumerate((1e-9, 1e-3, 0.02, 0.05))),
+], ids=["square1", "square8", "lshape32", "holed8", "obtuse",
+        "jitter1e-9", "jitter1e-3", "jitter0.02", "jitter0.05"])
+def test_audit_matches_every_angle(mesh):
+    # only the extreme cosines reach arccos; the report is that of every angle's
+    assert audit_mesh(mesh) == audit_every_angle(mesh)
 
 
 def test_audit_uniform_square(square4):

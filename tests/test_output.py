@@ -1,7 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from tdglfem import fem
+from tdglfem import fem, output
 from tdglfem.diagnostics import ErrorReport
 from tdglfem.fem import interpolate_nodal, num_edge_dofs
 from tdglfem.output import (
@@ -192,6 +195,24 @@ def test_vtk_matches_reference_formatter(mesh, rng):
     psi[0] = complex(-0.0, 1e-300)
     A = rng.standard_normal(num_edge_dofs(mesh))
     assert format_vtk_snapshot(mesh, A, psi, 0.3) == reference_vtk(mesh, A, psi, 0.3)
+
+
+def test_vtk_mesh_part_formatted_once_per_mesh(tmp_path, rng):
+    # later snapshots reuse the mesh part and keep the reference bytes; the
+    # cached part goes with its mesh
+    mesh = lshape_mesh(4)
+    for k, t in enumerate((0.0, 0.5, 1.0)):
+        psi = np.exp(1j * rng.uniform(0, 2 * np.pi, mesh.num_vertices))
+        A = rng.standard_normal(num_edge_dofs(mesh))
+        path = tmp_path / f"s{k}.vtk"
+        write_vtk_snapshot(path, mesh, A, psi, t)
+        assert path.read_text() == reference_vtk(mesh, A, psi, t)
+        assert mesh in output._MESH_TEXT
+    cached = len(output._MESH_TEXT)
+    ref = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert ref() is None and len(output._MESH_TEXT) == cached - 1
 
 
 def test_vtk_deterministic(snapshot, tmp_path):
