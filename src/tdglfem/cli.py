@@ -13,8 +13,8 @@ Ctrl-C), 143 for a termination (``SIGTERM``, under the ``tdglfem`` command
 of :func:`console`); a ``run`` stopped in its time loop, by a failure, an
 interrupt or a termination, still writes the accepted rows.
 
-Heavy imports happen inside the handlers so ``--threads`` can pin the BLAS
-thread pools through the environment before numpy loads.
+Heavy imports happen inside the handlers so ``--threads`` (1 unless given)
+can pin the BLAS thread pools through the environment before numpy loads.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="integrate one configured scenario")
     p_run.add_argument("--config", required=True, help="path to a config file")
     p_run.add_argument("--out", help="output directory (overrides the config)")
-    p_run.add_argument("--threads", type=_thread_count, help="cap BLAS threads")
+    p_run.add_argument("--threads", type=_thread_count, default=1, help="BLAS threads (default 1)")
     p_run.add_argument(
         "--strict-acute", action="store_true", help="refuse weakly acute meshes too"
     )
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--resolutions", default="8,16,32,64", help="comma-separated subdivisions per unit"
     )
     p_conv.add_argument("--out", help="output directory for the study table")
-    p_conv.add_argument("--threads", type=_thread_count, help="cap BLAS threads")
+    p_conv.add_argument("--threads", type=_thread_count, default=1, help="BLAS threads (default 1)")
     p_conv.set_defaults(func=_cmd_convergence)
 
     p_check = sub.add_parser("check-mesh", help="angle and uniformity audit")
@@ -288,7 +288,7 @@ def console() -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "threads", None):  # only ``run`` and ``convergence`` take it
+    if hasattr(args, "threads"):  # only ``run`` and ``convergence`` take it
         for var in _THREAD_VARS:
             os.environ[var] = str(args.threads)
 

@@ -74,7 +74,6 @@ from .mesh import Mesh
 from .quadrature import POINTS, WEIGHTS
 
 __all__ = [
-    "CsrPattern",
     "lumped_mass",
     "assemble_Lhat",
     "assemble_A_system",

@@ -8,14 +8,15 @@ The solver runs on conforming triangle meshes. Topology conventions:
 * every edge belongs to exactly one cell (boundary) or two cells (interior).
 
 Meshes are immutable after construction; all arrays are marked read-only so
-they can be shared safely between solver components.
+they can be shared safely between solver components. ``Mesh.from_cells``
+computes each per-cell and per-edge array once, and one order-keeping
+compaction drops the unused vertices for the builders and the Gmsh reader.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,10 @@ class Mesh:
         Edge index of the local edges ``(v0,v1), (v1,v2), (v2,v0)``.
     boundary_edge : ndarray, shape (ne,), bool
         True for edges incident to exactly one cell.
+    cell_areas : ndarray, shape (nc,)
+        Cell areas, the signed areas of the counterclockwise cells.
+    edge_tangents : ndarray, shape (ne, 2)
+        Unit tangents, oriented from the lower to the higher vertex index.
     h : float
         Longest edge over the mesh.
     """
@@ -75,6 +80,8 @@ class Mesh:
     edges: np.ndarray
     cell_edges: np.ndarray
     boundary_edge: np.ndarray
+    cell_areas: np.ndarray
+    edge_tangents: np.ndarray
     h: float
 
     @property
@@ -88,22 +95,6 @@ class Mesh:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def cell_areas(self) -> np.ndarray:
-        """Signed areas, positive for the stored counterclockwise cells."""
-        p = self.vertices[self.cells]
-        a = _signed_areas(p)
-        a.setflags(write=False)
-        return a
-
-    @cached_property
-    def edge_tangents(self) -> np.ndarray:
-        """Unit tangents, oriented from the lower to the higher vertex index."""
-        vec = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        t = vec / np.linalg.norm(vec, axis=1)[:, None]
-        t.setflags(write=False)
-        return t
 
     @classmethod
     def from_cells(cls, vertices, cells) -> "Mesh":
@@ -137,12 +128,15 @@ class Mesh:
                 "compact the mesh before constructing"
             )
 
-        areas = _signed_areas(verts[tris])
-        scale = np.abs(verts[tris]).max() + 1.0
-        degenerate = np.abs(areas) <= 1e-14 * scale * scale
+        p = verts[tris]
+        d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        areas = np.abs(signed)  # the flip below negates a signed area exactly
+        scale = np.abs(verts).max() + 1.0  # every vertex is used
+        degenerate = areas <= 1e-14 * scale * scale
         if degenerate.any():
             raise ValueError(f"{int(degenerate.sum())} degenerate (zero-area) cells")
-        flip = areas < 0
+        flip = signed < 0
         if flip.any():
             tris = tris.copy()
             tris[flip] = tris[flip][:, [0, 2, 1]]
@@ -167,17 +161,12 @@ class Mesh:
             raise ValueError("repeated triangle: two cells have the same three vertices")
 
         side = verts[edges[:, 1]] - verts[edges[:, 0]]
-        h = float(np.linalg.norm(side, axis=1).max())
+        length = np.linalg.norm(side, axis=1)
+        tangents = side / length[:, None]
 
-        for arr in (verts, tris, edges, cell_edges, boundary):
+        for arr in (verts, tris, edges, cell_edges, boundary, areas, tangents):
             arr.setflags(write=False)
-        return cls(verts, tris, edges, cell_edges, boundary, h)
-
-
-def _signed_areas(triangle_xy: np.ndarray) -> np.ndarray:
-    d1 = triangle_xy[..., 1, :] - triangle_xy[..., 0, :]
-    d2 = triangle_xy[..., 2, :] - triangle_xy[..., 0, :]
-    return 0.5 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
+        return cls(verts, tris, edges, cell_edges, boundary, areas, tangents, float(length.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +233,21 @@ def generate_uniform_square(M: int, domain=(0.0, 0.0, 1.0, 1.0), mask=None) -> M
     cells[0::2] = lower
     cells[1::2] = upper
 
-    verts, cells = _compact(verts, cells)
+    verts, cells, _ = _compact(verts, cells)
     return Mesh.from_cells(verts, cells)
 
 
 def _compact(verts, cells):
-    """Drop vertices not referenced by any cell, renumbering densely."""
-    used, inverse = np.unique(cells, return_inverse=True)
-    return verts[used], inverse.reshape(cells.shape)
+    """Drop the vertices no cell uses and renumber the rest in their order.
+
+    Returns the kept vertices, the renumbered cells and the old-to-new
+    numbering, which is -1 at a dropped vertex.
+    """
+    used = np.zeros(len(verts), dtype=bool)
+    used[cells] = True
+    number = np.cumsum(used) - 1
+    number[~used] = -1
+    return verts[used], number[cells], number
 
 
 # ---------------------------------------------------------------------------
@@ -339,21 +335,17 @@ def load_gmsh_ascii(text: str) -> Mesh:
     if not tris:
         raise EmptyMeshError("file contains no triangles")
 
-    mesh = _file_mesh(*_compact(xy, np.asarray(tris, dtype=np.int64)))
+    verts, cells, number = _compact(xy, np.asarray(tris, dtype=np.int64))
+    mesh = _file_mesh(verts, cells)
 
     if seg_nodes:
         # boundary tagging cross-check: every 2-node line should be a
-        # boundary edge of the triangulation
-        remap = {}
-        used = np.unique(np.asarray(tris, dtype=np.int64))
-        for new, old in enumerate(used):
-            remap[int(old)] = new
-        bset = {tuple(e) for e in mesh.edges[mesh.boundary_edge]}
-        bad = 0
-        for a, b in seg_nodes:
-            pair = (remap.get(a, -1), remap.get(b, -1))
-            if tuple(sorted(pair)) not in bset:
-                bad += 1
+        # boundary edge of the triangulation; a line on a dropped node gets
+        # a negative key, which no edge has
+        nv = mesh.num_vertices
+        lo, hi = np.sort(number[np.asarray(seg_nodes, dtype=np.int64)], axis=1).T
+        boundary = mesh.edges[mesh.boundary_edge]
+        bad = int((~np.isin(lo * nv + hi, boundary[:, 0] * nv + boundary[:, 1])).sum())
         if bad:
             warnings.warn(
                 f"{bad} line elements are not boundary edges of the triangulation",

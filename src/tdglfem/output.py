@@ -2,7 +2,8 @@
 
 Both writers are byte deterministic: the CSV uses shortest round-trip float
 representations and the VTK uses fixed ``%.12e`` formatting, so repeated
-runs of the same configuration produce identical files.
+runs of the same configuration at the same BLAS thread count (one unless
+``--threads`` asks for more) produce identical files.
 """
 
 from __future__ import annotations

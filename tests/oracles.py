@@ -1,8 +1,9 @@
 """Reference paths that only the tests use: the dense ``phi`` oracle, the
 random-vector audit of ``L = D^{-1} Lhat - mu I``, the edge interpolant,
 the quadrature form of every assembly kernel, the sparsity patterns and
-scatters built by sorting every cell entry, and the mesh audit taken over
-every angle.
+scatters built by sorting every cell entry, the vertex compaction by
+sorting and the cell areas and edge tangents gathered from the vertices, and
+the mesh audit taken over every angle.
 
 Not collected by pytest; the tests import it as ``from oracles import ...``.
 """
@@ -316,6 +317,28 @@ def entry_sorted_layout(mesh, ops):
     local = mesh.cell_areas[:, None, None] * rows[:, :, None] * rows[:, None, :]
     curl_data = np.bincount(slots.ravel(), weights=local.ravel(), minlength=edge.nnz)
     return nodal, nodal_scatter, edge, mass_scatter, curl_data
+
+
+# ---------------------------------------------------------------------------
+# mesh construction by sorting and gathering
+
+
+def compact_by_sorting(verts, cells):
+    """Drop the vertices no cell uses: ``np.unique`` sorts every cell entry
+    and numbers the used vertices in their order."""
+    used, inverse = np.unique(cells, return_inverse=True)
+    return verts[used], inverse.reshape(cells.shape)
+
+
+def gathered_geometry(mesh):
+    """Signed cell areas and unit edge tangents, each recomputed from the
+    vertex coordinates of the stored cells and edges."""
+    p = mesh.vertices[mesh.cells]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    vec = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
+    return areas, vec / np.linalg.norm(vec, axis=1)[:, None]
 
 
 # ---------------------------------------------------------------------------

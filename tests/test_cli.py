@@ -17,6 +17,17 @@ from tdglfem.mesh import Mesh, format_native
 from tdglfem.output import CSV_HEADER
 
 
+def cleared_thread_vars(monkeypatch):
+    for var in _THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+
+
+@pytest.fixture(autouse=True)
+def restored_thread_vars(monkeypatch):
+    # every ``run`` and ``convergence`` sets them; the test process gets its own back
+    cleared_thread_vars(monkeypatch)
+
+
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -465,21 +476,17 @@ def test_convergence_config_must_be_manufactured(tmp_path, capsys):
 # -- misc ------------------------------------------------------------------------
 
 
-def cleared_thread_vars(monkeypatch):
-    for var in _THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-
-
 def test_thread_limit_sets_env(monkeypatch):
+    # one thread unless more are asked for, so the output bytes do not depend on the machine
     for command in ("run", "convergence"):
-        cleared_thread_vars(monkeypatch)
         monkeypatch.setattr(tdglfem.cli, f"_cmd_{command}", lambda args: 0)
-        assert main([command, "--config", "x.cfg", "--threads", "3"]) == 0
-        assert {var: os.environ[var] for var in _THREAD_VARS} == dict.fromkeys(_THREAD_VARS, "3")
+        for flag, expected in ((["--threads", "3"], "3"), ([], "1")):
+            cleared_thread_vars(monkeypatch)
+            assert main([command, "--config", "x.cfg", *flag]) == 0
+            assert {var: os.environ[var] for var in _THREAD_VARS} == dict.fromkeys(_THREAD_VARS, expected)
 
 
-def test_thread_limit_ignores_garbage(monkeypatch, capsys):
-    cleared_thread_vars(monkeypatch)
+def test_thread_limit_ignores_garbage(capsys):
     for threads in ("-2", "0", "two", ""):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--config", "x.cfg", "--threads", threads])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import tdglfem.mesh
 from tdglfem.mesh import (
     EmptyMeshError,
     MalformedFileError,
@@ -20,7 +21,7 @@ from tdglfem.mesh import (
 from tdglfem.scenarios import holed_square_mesh, lshape_mesh, unit_square_mesh
 
 from mutations import mutated
-from oracles import audit_every_angle, triangle_angles
+from oracles import audit_every_angle, compact_by_sorting, gathered_geometry, triangle_angles
 
 GMSH_SQUARE = """\
 $MeshFormat
@@ -111,11 +112,12 @@ def test_edges_lexicographic_and_permutation_invariant():
     assert (a.edges[:, 0] < a.edges[:, 1]).all()
 
 
-def vertex_permuted(mesh, seed=0):
+def vertex_permuted(mesh, seed=0, clockwise=False):
     perm = np.random.default_rng(seed).permutation(mesh.num_vertices)
     verts = np.empty_like(mesh.vertices)
     verts[perm] = mesh.vertices
-    return Mesh.from_cells(verts, perm[mesh.cells])
+    cells = perm[mesh.cells]
+    return Mesh.from_cells(verts, cells[:, ::-1] if clockwise else cells)
 
 
 @pytest.mark.parametrize(
@@ -131,6 +133,51 @@ def test_edge_table_matches_row_unique(build):
     edges, inverse = np.unique(np.sort(raw.reshape(-1, 2), axis=1), axis=0, return_inverse=True)
     np.testing.assert_array_equal(mesh.edges, edges)
     np.testing.assert_array_equal(mesh.cell_edges, inverse.reshape(-1, 3))
+
+
+BUILDS = {
+    **{f"unit{M}": lambda M=M: unit_square_mesh(M) for M in (1, 2, 8, 32)},
+    **{f"lshape{M}": lambda M=M: lshape_mesh(M) for M in (2, 8, 32)},
+    **{f"holed{M}": lambda M=M: holed_square_mesh(M) for M in (1, 2, 8)},
+}
+
+
+@pytest.mark.parametrize("name", BUILDS)
+def test_builders_compact_as_sorting_does(name, monkeypatch):
+    compact = tdglfem.mesh._compact
+    calls = []
+
+    def recorded(verts, cells):
+        calls.append((verts, cells, compact(verts, cells)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(tdglfem.mesh, "_compact", recorded)
+    mesh = BUILDS[name]()
+    [(verts, cells, (_, _, number))] = calls
+    kept_verts, kept_cells = compact_by_sorting(verts, cells)
+    np.testing.assert_array_equal(mesh.vertices, kept_verts)
+    np.testing.assert_array_equal(mesh.cells, kept_cells)
+    # the numbering keeps vertex order and marks a dropped vertex -1
+    used = np.isin(np.arange(len(verts)), cells)
+    np.testing.assert_array_equal(number[used], np.arange(mesh.num_vertices))
+    assert (number[~used] == -1).all()
+    if name == "holed2":  # no kept square uses the centre of a hole
+        assert (~used).sum() == 4
+
+
+@pytest.mark.parametrize(
+    "build",
+    [*BUILDS.values(), lambda: vertex_permuted(lshape_mesh(8), clockwise=True)],
+    ids=[*BUILDS, "lshape8-clockwise-permuted"],
+)
+def test_areas_and_tangents_are_the_gathered_ones(build):
+    mesh = build()
+    areas, tangents = gathered_geometry(mesh)
+    np.testing.assert_array_equal(mesh.cell_areas, areas)
+    np.testing.assert_array_equal(mesh.edge_tangents, tangents)
+    for arr in (mesh.cell_areas, mesh.edge_tangents):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_cell_edges_consistent(square2):
@@ -226,8 +273,18 @@ def test_gmsh_skips_foreign_element_types():
 
 def test_gmsh_interior_line_warns():
     text = GMSH_SQUARE.replace("3 1 2 0 1 1 2", "3 1 2 0 1 1 3")  # the diagonal
-    with pytest.warns(UserWarning, match="not boundary edges"):
+    with pytest.warns(UserWarning, match="^1 line elements are not boundary edges"):
         load_gmsh_ascii(text)
+    # and a line on node 5, which no triangle uses, next to the boundary lines
+    text = text.replace("$Nodes\n4\n", "$Nodes\n5\n5 2 2 0\n").replace(
+        "$Elements\n6\n", "$Elements\n7\n7 1 2 0 1 4 5\n"
+    )
+    with pytest.warns(UserWarning, match="^2 line elements are not boundary edges"):
+        mesh = load_gmsh_ascii(text)
+    assert mesh.num_vertices == 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        load_gmsh_ascii(GMSH_SQUARE)  # boundary lines alone
 
 
 def test_gmsh_binary_rejected():
