@@ -93,18 +93,26 @@ def _read_config(path):
     return parse_config(text)
 
 
+def _config(args):
+    """The ``--config`` file's ``RunConfig`` (the manufactured defaults for a
+    ``convergence`` without one), with ``--out`` and ``--strict-acute``
+    applied over its keys where the subcommand takes them."""
+    from .config import RunConfig
+
+    cfg = _read_config(args.config) if args.config else RunConfig(scenario="manufactured")
+    return replace(cfg, out=getattr(args, "out", None) or cfg.out,
+                   strict_acute=cfg.strict_acute or getattr(args, "strict_acute", False))
+
+
 def _cmd_run(args) -> int:
     from .config import materialize
     from .output import ensure_dir, write_timeseries_csv, write_vtk_snapshot
     from .stepper import run
 
-    cfg = _read_config(args.config)
-    if args.out:
-        cfg.out = args.out
-    if args.strict_acute:
-        cfg.strict_acute = True
-    prepared = materialize(cfg)
-    out_dir = ensure_dir(prepared.output.out or "out")
+    cfg = _config(args)
+    prepared = materialize(cfg)  # validates the output keys; their defaults are set here
+    out_dir = ensure_dir(cfg.out or "out")
+    cadence = cfg.series_cadence or 1
 
     snap_counter = [0]
 
@@ -117,13 +125,13 @@ def _cmd_run(args) -> int:
     series = os.path.join(out_dir, "series.csv")
     try:
         state = run(prepared.mesh, prepared.params,
-                    snapshot_times=prepared.output.snapshots, on_snapshot=on_snapshot)
+                    snapshot_times=cfg.snapshots or (), on_snapshot=on_snapshot)
     except BaseException as exc:
         if hasattr(exc, "state"):  # ``run`` attaches the accepted steps to whatever stops it
-            write_timeseries_csv(series, exc.state.history, prepared.output.series_cadence)
+            write_timeseries_csv(series, exc.state.history, cadence)
         raise
 
-    write_timeseries_csv(series, state.history, prepared.output.series_cadence)
+    write_timeseries_csv(series, state.history, cadence)
     write_vtk_snapshot(os.path.join(out_dir, "final.vtk"), state.mesh, state.A, state.psi, state.t)
 
     final = state.history[-1]
@@ -182,10 +190,10 @@ def run_manufactured_convergence(resolutions=(8, 16, 32, 64), cfg=None):
 
 
 def _cmd_convergence(args) -> int:
-    from .config import ConfigError, RunConfig
+    from .config import ConfigError
     from .output import ensure_dir, write_convergence_csv
 
-    cfg = _read_config(args.config) if args.config else RunConfig(scenario="manufactured")
+    cfg = _config(args)
     try:
         resolutions = [int(tok) for tok in args.resolutions.split(",")]
     except ValueError:
@@ -209,9 +217,8 @@ def _cmd_convergence(args) -> int:
             cells.append(f"{rate[k - 1]:>6.2f}" if k else f"{'':>6}")
         print(" ".join(cells))
 
-    out = args.out or cfg.out
-    if out:
-        out_dir = ensure_dir(out)
+    if cfg.out:
+        out_dir = ensure_dir(cfg.out)
         path = os.path.join(out_dir, "convergence.csv")
         write_convergence_csv(path, reports, rates)
         print(f"wrote {path}")
@@ -223,9 +230,10 @@ def _cmd_check_mesh(args) -> int:
     from .mesh import audit_mesh, load_mesh_file
 
     if args.mesh:
-        mesh = load_mesh_file(args.mesh)
+        mesh, strict = load_mesh_file(args.mesh), args.strict_acute
     else:
-        mesh = materialize(_read_config(args.config)).mesh
+        cfg = _config(args)
+        mesh, strict = materialize(cfg).mesh, cfg.strict_acute
 
     audit = audit_mesh(mesh)
     print(f"vertices {mesh.num_vertices}, edges {mesh.num_edges}, cells {mesh.num_cells}")
@@ -235,11 +243,9 @@ def _cmd_check_mesh(args) -> int:
     print(f"weakly acute:   {audit.weakly_acute}")
     print(f"quasi-uniformity ratio: {audit.quasi_uniformity_ratio:.4g}")
 
-    if not audit.weakly_acute:
-        print("REJECT: obtuse angles present; the solver will refuse this mesh")
-        return 3
-    if args.strict_acute and not audit.strictly_acute:
-        print("REJECT: right angles present and --strict-acute was requested")
+    refusal = audit.refusal(strict)
+    if refusal is not None:
+        print(f"REJECT: {refusal}; the solver will refuse this mesh")
         return 3
     if not audit.strictly_acute:
         print("OK with warning: right angles present; bound checks stay on at runtime")

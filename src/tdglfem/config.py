@@ -25,8 +25,7 @@ from . import scenarios
 from .mesh import load_mesh_file
 from .stepper import AdaptiveTau, SchemeParams
 
-__all__ = ["ConfigError", "RunConfig", "OutputOptions", "PreparedRun",
-           "parse_config", "materialize"]
+__all__ = ["ConfigError", "RunConfig", "PreparedRun", "parse_config", "materialize"]
 
 
 class ConfigError(ValueError):
@@ -154,17 +153,9 @@ def parse_config(text: str) -> RunConfig:
 
 
 @dataclass(frozen=True)
-class OutputOptions:
-    out: str | None
-    snapshots: tuple
-    series_cadence: int
-
-
-@dataclass(frozen=True)
 class PreparedRun:
     mesh: object
     params: SchemeParams
-    output: OutputOptions
     exact: object | None  # reference fields when the scenario has them
 
 
@@ -174,8 +165,9 @@ def materialize(cfg: RunConfig) -> PreparedRun:
     Every key the config leaves ``None`` takes the scenario's default (see
     ``scenarios.Scenario``). A key with neither must be configured, and a key
     the scenario sets itself may not be. Raises :class:`ConfigError` for such
-    combinations, for parameters the solver rejects and for a snapshot time
-    after ``T``.
+    combinations, for parameters the solver rejects, for a ``series_cadence``
+    below 1 and for a snapshot time after ``T``; ``tdglfem run`` reads the
+    output keys (``out``, ``snapshots``, ``series_cadence``) off the config.
     """
     name = cfg.scenario
     scenario = scenarios.SCENARIOS.get(name)
@@ -250,13 +242,7 @@ def materialize(cfg: RunConfig) -> PreparedRun:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    snapshots = tuple(cfg.snapshots) if cfg.snapshots else ()
-    if snapshots and max(snapshots) > params.T:
-        raise ConfigError(f"snapshot time {max(snapshots)!r} is after T = {params.T!r}",
+    if cfg.snapshots and max(cfg.snapshots) > params.T:
+        raise ConfigError(f"snapshot time {max(cfg.snapshots)!r} is after T = {params.T!r}",
                           key="snapshots")
-    output = OutputOptions(
-        out=cfg.out,
-        snapshots=snapshots,
-        series_cadence=cfg.series_cadence or 1,
-    )
-    return PreparedRun(mesh=mesh, params=params, output=output, exact=exact)
+    return PreparedRun(mesh=mesh, params=params, exact=exact)

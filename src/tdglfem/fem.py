@@ -191,6 +191,7 @@ class _MeshOps:
             ),
             shape=(6 * nc, n),
         )
+        self.cmap_T = self.cmap.T  # CSC views of the same arrays, so no step rebuilds them
 
         # curl is constant per cell: sum_v grad(lam_v) x (corner vector v)
         gx, gy = self.grads[:, :, None]
@@ -200,6 +201,7 @@ class _MeshOps:
         self.curl = sp.csr_matrix(
             (curl_coeff.ravel(), dofs.ravel(), np.arange(0, 6 * nc + 1, 6)), shape=(nc, n)
         )
+        self.curl_T = self.curl.T
 
         self.dof_vertex = mesh.edges.ravel()  # dof 2e sits at edges[e, 0], 2e+1 at edges[e, 1]
         self.edge_pattern, slots = _edge_layout(mesh, dof_at)
@@ -235,13 +237,13 @@ class _MeshOps:
 
     def moments(self, F_q) -> np.ndarray:
         """``integral(F_a lam_v)``, (2, 3, nc), of a vector field given at the
-        quadrature points as (2, nc, nq); ``cmap.T`` takes them to the load."""
+        quadrature points as (2, nc, nq); ``cmap_T`` takes them to the load."""
         m = ((self.wdx * F_q).reshape(-1, len(WEIGHTS)) @ POINTS).reshape(2, -1, 3)
         return m.transpose(0, 2, 1)
 
     def curl_load(self, h_q) -> np.ndarray:
         """``integral(h curl(testfield))`` for every dof, for a scalar at the quadrature points."""
-        return self.curl.T @ (self.area * (h_q @ WEIGHTS))
+        return self.curl_T @ (self.area * (h_q @ WEIGHTS))
 
     # -- curl-exact preconditioner -------------------------------------------
 
@@ -255,7 +257,7 @@ class _MeshOps:
 
     def _cell_coupling(self) -> sp.csr_matrix:
         """``C diag(M)^{-1} C^T``: the cells that share an edge."""
-        return (self.curl @ sp.diags(1.0 / self.mass.diagonal()) @ self.curl.T).tocsr()
+        return (self.curl @ sp.diags(1.0 / self.mass.diagonal()) @ self.curl_T).tocsr()
 
     @cached_property
     def _cell_numbering(self):
@@ -603,7 +605,7 @@ def assemble_A_rhs(
     if forcing is not None:
         moments += ops.moments(at_quad(mesh, forcing, t))
     rhs = (sigma / tau) * (ops.mass @ np.asarray(A_prev, dtype=float))
-    return rhs + ops.curl_load(at_quad(mesh, H, t)) + ops.cmap.T @ moments.ravel()
+    return rhs + ops.curl_load(at_quad(mesh, H, t)) + ops.cmap_T @ moments.ravel()
 
 
 def ritz_projection(mesh: Mesh, A_func, curl_func) -> np.ndarray:
@@ -615,7 +617,7 @@ def ritz_projection(mesh: Mesh, A_func, curl_func) -> np.ndarray:
     from .linalg import cg_solve
 
     ops = _ops(mesh)
-    rhs = ops.cmap.T @ ops.moments(at_quad(mesh, A_func)).ravel()
+    rhs = ops.cmap_T @ ops.moments(at_quad(mesh, A_func)).ravel()
     rhs = rhs + ops.curl_load(at_quad(mesh, curl_func))
     system = ops.edge_pattern.csr_from_data(ops._curl_data + ops.mass.data)
     return cg_solve(system, rhs, precond=ops.curl_preconditioner(1.0, 1.0)).x

@@ -463,9 +463,18 @@ class MeshAudit:
     weakly_acute: bool
     quasi_uniformity_ratio: float
 
+    def refusal(self, strict: bool) -> str | None:
+        """Why the solver refuses the mesh, or ``None`` when it runs on it: the
+        modulus bound needs weakly acute cells, and ``strict`` strictly acute ones."""
+        if not self.weakly_acute:
+            return f"obtuse angles present (largest {self.max_angle_deg:.3f} deg)"
+        if strict and not self.strictly_acute:
+            return "right angles present: the mesh is only weakly acute and strict_acute is set"
+        return None
+
 
 def audit_mesh(mesh: Mesh) -> MeshAudit:
-    """Audit angles and uniformity. Reports only; callers decide policy.
+    """Audit angles and uniformity; :meth:`MeshAudit.refusal` holds the policy.
 
     The angle at a corner is the arccos of its cosine, which decreases, so
     only the largest and the smallest cosine are taken to angles.

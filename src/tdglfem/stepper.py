@@ -227,22 +227,16 @@ class SimulationState:
 def initialize(mesh: Mesh, A0, psi0, params: SchemeParams) -> SimulationState:
     """Audit the mesh, interpolate/project initial data, record ``t = 0``.
 
-    Obtuse meshes are refused (the modulus-bound structure needs acute
-    cells); weakly acute meshes run with a warning unless
-    ``params.strict_acute`` is set. Finite data whose energy overflows is
-    refused with ``ValueError`` naming the energy term.
+    A mesh that :meth:`mesh.MeshAudit.refusal` refuses under
+    ``params.strict_acute`` raises ``ValueError`` with its reason; a weakly
+    acute mesh it accepts runs with a warning. Finite data whose energy
+    overflows is refused with ``ValueError`` naming the energy term.
     """
     audit = audit_mesh(mesh)
-    if not audit.weakly_acute:
-        raise ValueError(
-            f"mesh has an obtuse angle ({audit.max_angle_deg:.3f} deg); refusing to run"
-        )
+    refusal = audit.refusal(params.strict_acute)
+    if refusal is not None:
+        raise ValueError(f"{refusal}; refusing to run")
     if not audit.strictly_acute:
-        if params.strict_acute:
-            raise ValueError(
-                "mesh is only weakly acute (right angles present) and "
-                "strict_acute is set"
-            )
         warnings.warn(
             "mesh is weakly acute (right angles present): the modulus bound "
             "is verified at runtime rather than guaranteed a priori",

@@ -316,6 +316,52 @@ def test_run_refuses_overflowing_initial_energy(tmp_path, capsys):
     assert not (out / "series.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_run_output_options(tmp_path, capsys, monkeypatch):
+    # ``run`` sets the output keys' defaults: directory ``out``, every row, no snapshot
+    monkeypatch.chdir(tmp_path)
+    base = "scenario = lshape\nM = 2\nT = 0.3\ntau = 0.1\n"
+    assert main(["run", "--config", write_config(tmp_path, base)]) == 0
+    assert len((tmp_path / "out" / "series.csv").read_text().splitlines()) == 1 + 4
+    assert not list((tmp_path / "out").glob("snapshot_*"))
+    # and reads each one the config sets
+    keys = base + "out = somewhere\nsnapshots = 0.1, 0.2\nseries_cadence = 7\n"
+    assert main(["run", "--config", write_config(tmp_path, keys, "keys.cfg")]) == 0
+    capsys.readouterr()
+    series = (tmp_path / "somewhere" / "series.csv").read_text()
+    assert len(series.splitlines()) == 1 + 2  # rows 0 and the final one
+    assert sorted(p.name for p in (tmp_path / "somewhere").glob("snapshot_*")) == [
+        "snapshot_000.vtk", "snapshot_001.vtk"]
+
+
+LSHAPE4 = "scenario = lshape\nM = 4\n"
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("head, flags, code, reason", [
+    ("scenario = custom\nmesh_file = {obtuse}\nkappa = 1\n", [], 3, "obtuse angles present"),
+    (LSHAPE4, [], 0, None),
+    (LSHAPE4, ["--strict-acute"], 3, "right angles present"),
+    (LSHAPE4 + "strict_acute = true\n", [], 3, "right angles present"),
+], ids=["obtuse-file", "weakly-acute", "strict-acute-flag", "strict-acute-key"])
+def test_run_and_check_mesh_agree(tmp_path, capsys, head, flags, code, reason):
+    # one admission rule: the same input gets the same verdict from both commands
+    head = head.format(obtuse=obtuse_mesh_file(tmp_path))
+    cfg = write_config(tmp_path, head + f"T = 0.1\ntau = 0.05\nout = {tmp_path / 'r'}\n")
+
+    assert main(["check-mesh", "--config", cfg, *flags]) == code
+    verdict = capsys.readouterr().out.splitlines()[-1]
+    assert main(["run", "--config", cfg, *flags]) == code
+    err = capsys.readouterr().err
+    if reason is None:
+        assert verdict == "OK with warning: right angles present; bound checks stay on at runtime"
+        assert (tmp_path / "r" / "final.vtk").exists()
+    else:
+        assert verdict.startswith(f"REJECT: {reason}")
+        assert f"solver error: {reason}" in err
+        assert not (tmp_path / "r" / "series.csv").exists()
+
+
 # -- check-mesh -----------------------------------------------------------------
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from tdglfem.cli import run_manufactured_convergence
 from tdglfem.config import (
     ConfigError,
-    OutputOptions,
     RunConfig,
     materialize,
     parse_config,
@@ -167,7 +166,6 @@ def test_materialize_lshape_defaults():
     assert run.params.psi0 == 0.6 + 0.8j
     assert isinstance(run.params.tau, AdaptiveTau)
     assert run.exact is None
-    assert run.output == OutputOptions(out=None, snapshots=(), series_cadence=1)
 
 
 def test_materialize_manufactured():
@@ -261,14 +259,4 @@ def test_materialize_rejects_snapshot_after_T():
     with pytest.raises(ConfigError, match=r"snapshot time 5\.0 is after T = 0\.1") as exc:
         materialize(parse_config("scenario = lshape\nM = 4\nT = 0.1\nsnapshots = 0, 5\n"))
     assert exc.value.key == "snapshots"
-    run = materialize(parse_config("scenario = lshape\nM = 4\nT = 0.1\nsnapshots = 0, 0.1\n"))
-    assert run.output.snapshots == (0.0, 0.1)
-
-
-def test_materialize_output_options():
-    run = materialize(parse_config(
-        "scenario = lshape\nM = 4\nout = somewhere\nsnapshots = 1,2\nseries_cadence = 7\n"
-    ))
-    assert run.output.out == "somewhere"
-    assert run.output.snapshots == (1.0, 2.0)
-    assert run.output.series_cadence == 7
+    materialize(parse_config("scenario = lshape\nM = 4\nT = 0.1\nsnapshots = 0, 0.1\n"))

@@ -433,3 +433,21 @@ def test_audit_obtuse():
     assert audit.max_angle_deg == pytest.approx(131.98721249581666, abs=1e-9)
     assert not audit.weakly_acute
     assert not audit.strictly_acute
+
+
+EQUILATERAL = Mesh.from_cells([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]], [[0, 1, 2]])
+OBTUSE = Mesh.from_cells([[0.0, 0.0], [4.0, 0.0], [0.2, 0.2]], [[0, 1, 2]])
+
+
+@pytest.mark.parametrize("mesh, strict, refusal", [
+    (EQUILATERAL, False, None),
+    (EQUILATERAL, True, None),
+    (unit_square_mesh(2), False, None),
+    (unit_square_mesh(2), True,
+     "right angles present: the mesh is only weakly acute and strict_acute is set"),
+    (OBTUSE, False, "obtuse angles present (largest 131.987 deg)"),
+    (OBTUSE, True, "obtuse angles present (largest 131.987 deg)"),
+], ids=["acute", "acute-strict", "right", "right-strict", "obtuse", "obtuse-strict"])
+def test_audit_refusal(mesh, strict, refusal):
+    # the one admission rule: obtuse angles always refused, right angles only when strict
+    assert audit_mesh(mesh).refusal(strict) == refusal
