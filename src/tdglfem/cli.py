@@ -11,7 +11,8 @@ parameters), 3 for solver failures or policy refusals (iteration caps,
 obtuse meshes, aborted checks), 130 for an interrupt (``SIGINT``,
 Ctrl-C), 143 for a termination (``SIGTERM``, under the ``tdglfem`` command
 of :func:`console`); a ``run`` stopped in its time loop, by a failure, an
-interrupt or a termination, still writes the accepted rows.
+interrupt or a termination, still writes the accepted rows, and one stopped
+before it (a refused mesh) removes the output directories it created.
 
 Heavy imports happen inside the handlers so ``--threads`` (1 unless given)
 can pin the BLAS thread pools through the environment before numpy loads.
@@ -20,6 +21,7 @@ can pin the BLAS thread pools through the environment before numpy loads.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import signal
 import sys
@@ -106,12 +108,16 @@ def _config(args):
 
 def _cmd_run(args) -> int:
     from .config import materialize
-    from .output import ensure_dir, write_timeseries_csv, write_vtk_snapshot
+    from .output import write_timeseries_csv, write_vtk_snapshot
     from .stepper import run
 
     cfg = _config(args)
     prepared = materialize(cfg)  # validates the output keys; their defaults are set here
-    out_dir = ensure_dir(cfg.out or "out")
+    out_dir = cfg.out or "out"
+    made = [os.path.abspath(out_dir)]  # and its parents, up to the first that exists
+    while not os.path.exists(made[-1]):
+        made.append(os.path.dirname(made[-1]))
+    os.makedirs(out_dir, exist_ok=True)
     cadence = cfg.series_cadence or 1
 
     snap_counter = [0]
@@ -129,6 +135,10 @@ def _cmd_run(args) -> int:
     except BaseException as exc:
         if hasattr(exc, "state"):  # ``run`` attaches the accepted steps to whatever stops it
             write_timeseries_csv(series, exc.state.history, cadence)
+        else:  # stopped before its first step, as a refused mesh is: nothing to keep
+            with contextlib.suppress(OSError):  # a directory that holds a t = 0 snapshot stays
+                for path in made[:-1]:  # the ones this run created, deepest first
+                    os.rmdir(path)
         raise
 
     write_timeseries_csv(series, state.history, cadence)
@@ -191,7 +201,7 @@ def run_manufactured_convergence(resolutions=(8, 16, 32, 64), cfg=None):
 
 def _cmd_convergence(args) -> int:
     from .config import ConfigError
-    from .output import ensure_dir, write_convergence_csv
+    from .output import write_convergence_csv
 
     cfg = _config(args)
     try:
@@ -218,8 +228,8 @@ def _cmd_convergence(args) -> int:
         print(" ".join(cells))
 
     if cfg.out:
-        out_dir = ensure_dir(cfg.out)
-        path = os.path.join(out_dir, "convergence.csv")
+        os.makedirs(cfg.out, exist_ok=True)
+        path = os.path.join(cfg.out, "convergence.csv")
         write_convergence_csv(path, reports, rates)
         print(f"wrote {path}")
     return 0

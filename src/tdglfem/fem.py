@@ -54,10 +54,11 @@ rule finds them too dear, vertex-block Jacobi is used: the entries of
 ``c M + K`` whose two dofs sit at one vertex (each dof sits at one), read
 off the edge CSR pattern and inverted once per ``c`` into one
 block-diagonal CSR matrix. Every mesh keeps the numbering and its band
-width, which the rule reads; the band, ``1/area`` in band order and the
-permuted ``C`` are built on the first use of the cell path, and the
-vertex-block layout on the first use of the vertex path. One slot keeps
-the latest preconditioner with its path and ``c``.
+width, which the rule reads; the band, ``1/area`` in band order, the
+permuted ``C`` and the LAPACK binding are built on the first use of the
+cell path (so a run that stays on vertex blocks never imports
+``scipy.linalg``), and the vertex-block layout on the first use of the
+vertex path. One slot keeps the latest preconditioner with its path and ``c``.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import get_lapack_funcs
 
 from .mesh import Mesh
 from .quadrature import POINTS, WEIGHTS
@@ -288,8 +288,11 @@ class _MeshOps:
     def _cell_path(self):
         """What only the cell path reads, built on its first use: ``diag(M)``;
         the lower band of :meth:`_cell_coupling` in Cuthill-McKee order, as
-        LAPACK band positions and values; ``1/area`` in that order; and the
-        curl matrix with its rows in that order, and its transpose."""
+        LAPACK band positions and values; ``1/area`` in that order; the curl
+        matrix with its rows in that order, and its transpose; and LAPACK's
+        ``pbtrf`` and ``pbtrs``, bound here so that the vertex path needs none."""
+        from scipy.linalg import get_lapack_funcs
+
         pos, _ = self._cell_numbering
         coupling = self._cell_coupling().tocoo()
         row, col = pos[coupling.row], pos[coupling.col]
@@ -298,22 +301,23 @@ class _MeshOps:
         curl = self.curl[order]
         band_index = (row[lower] - col[lower], col[lower])
         inv_area = 1.0 / self.area[order]
-        return self.mass.diagonal(), band_index, coupling.data[lower], inv_area, curl, curl.T
+        return (self.mass.diagonal(), band_index, coupling.data[lower], inv_area, curl, curl.T,
+                *get_lapack_funcs(("pbtrf", "pbtrs")))
 
     def cell_space_preconditioner(self, c: float):
         """``r -> P_c^{-1} r`` for ``P_c = c diag(M) + K``, through a banded
         Cholesky factor of ``G_c``."""
-        mass_diag, band_index, band, inv_area, curl, curl_t = self._cell_path
+        mass_diag, band_index, band, inv_area, curl, curl_t, pbtrf, pbtrs = self._cell_path
         ab = np.zeros((self._cell_numbering[1] + 1, len(inv_area)))
         ab[band_index] = band / c
         ab[0] += inv_area
-        factor, info = _pbtrf(ab, lower=1, overwrite_ab=1)
+        factor, info = pbtrf(ab, lower=1, overwrite_ab=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"banded Cholesky of G_c failed (info={info})")
         inv_cm = 1.0 / (c * mass_diag)
 
         def apply(r):
-            w, _ = _pbtrs(factor, curl @ (r * inv_cm), lower=1)
+            w, _ = pbtrs(factor, curl @ (r * inv_cm), lower=1)
             return (r - curl_t @ w) * inv_cm
 
         return apply
@@ -440,9 +444,6 @@ def _edge_layout(mesh: Mesh, dof_at):
     return CsrPattern(indices, indptr, 2 * ne), slots
 
 
-_pbtrf, _pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"))
-
-
 def _cuthill_mckee(graph: sp.csr_matrix) -> np.ndarray:
     """Cuthill-McKee position of each node of a symmetric CSR adjacency.
 
@@ -548,11 +549,10 @@ def assemble_A_system(mesh: Mesh, psi, sigma: float, tau: float) -> sp.csr_matri
     ops = _ops(mesh)
     p = np.asarray(psi, dtype=complex)[ops.corner_vertices]
     weights = _T4 @ _gram(p.real, p.imag)  # integral(|psi|^2 lam_v lam_w) per unit area
-    data = (
-        (sigma / tau) * ops.mass.data
-        + ops._curl_data
-        + ops._mass_scatter @ weights.ravel()
-    )
+    # ``((sigma/tau) M + K) + W`` summed in that order, in one buffer
+    data = np.multiply(ops.mass.data, sigma / tau)
+    data += ops._curl_data
+    data += ops._mass_scatter @ weights.ravel()
     return ops.edge_pattern.csr_from_data(data)
 
 

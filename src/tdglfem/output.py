@@ -8,7 +8,6 @@ runs of the same configuration at the same BLAS thread count (one unless
 
 from __future__ import annotations
 
-import os
 import weakref
 
 import numpy as np
@@ -162,8 +161,3 @@ def format_convergence_csv(reports, rates: dict) -> str:
 
 def write_convergence_csv(path, reports, rates: dict) -> None:
     _write(path, format_convergence_csv(reports, rates))
-
-
-def ensure_dir(path) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path

@@ -360,6 +360,24 @@ def test_run_and_check_mesh_agree(tmp_path, capsys, head, flags, code, reason):
         assert verdict.startswith(f"REJECT: {reason}")
         assert f"solver error: {reason}" in err
         assert not (tmp_path / "r" / "series.csv").exists()
+        assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_refused_run_removes_only_its_own_directories(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, LSHAPE4 + "strict_acute = true\nT = 0.1\ntau = 0.05\n")
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert main(["run", "--config", cfg, "--out", str(kept / "a" / "b")]) == 3
+    assert kept.is_dir() and not list(kept.iterdir())
+    assert main(["run", "--config", cfg, "--out", str(kept)]) == 3
+    assert kept.is_dir()
+    # an --out that cannot be created still stops the run before its first step
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(tdglfem.stepper, "run", lambda *a, **k: pytest.fail("the run started"))
+    ok = write_config(tmp_path, LSHAPE4 + "T = 0.1\ntau = 0.05\n", "ok.cfg")
+    assert main(["run", "--config", ok, "--out", str(tmp_path / "file" / "out")]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 # -- check-mesh -----------------------------------------------------------------
@@ -553,6 +571,25 @@ def test_threads_parsed_before_numpy_loads():
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("head, lapack", [
+    ("scenario = square_with_holes\nM = 2\nT = 0.2\ntau = adaptive\nchecks = abort\n", False),
+    ("scenario = lshape\nM = 4\nT = 0.2\ntau = 0.1\n", True),
+], ids=["vertex-path", "cell-path"])
+def test_only_the_cell_path_imports_lapack(tmp_path, head, lapack):
+    # the banded Cholesky binds scipy.linalg on a mesh's first cell-path build
+    cfg = write_config(tmp_path, head)
+    code = (
+        "import sys\nfrom tdglfem.cli import main\n"
+        f"assert main(['run', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(tdglfem.cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(lapack)
 
 
 def test_console_script_smoke():

@@ -397,6 +397,17 @@ def test_A_system_matches_quadrature(mesh, rng):
     assert relative_gap(weighted, oracles.quadrature_edge_mass(mesh, np.abs(psi_q) ** 2)) <= 1e-13
 
 
+@MESH_FAMILIES
+def test_A_system_sums_in_fixed_order(mesh, rng):
+    # every output's bytes rest on summing ``((sigma/tau) M + K) + W`` in this order
+    psi = unit_random_psi(mesh, rng)
+    ops = fem._ops(mesh)
+    p = psi[ops.corner_vertices]
+    weights = fem._T4 @ fem._gram(p.real, p.imag)
+    ref = (1.3 / 0.07) * ops.mass.data + ops._curl_data + ops._mass_scatter @ weights.ravel()
+    assert np.array_equal(assemble_A_system(mesh, psi, sigma=1.3, tau=0.07).data, ref)
+
+
 #: one term of the A-step right-hand side each, so that no term hides behind another
 RHS_TERMS = {
     "previous_state": {"A_prev": True},

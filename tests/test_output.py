@@ -10,7 +10,6 @@ from tdglfem.fem import interpolate_nodal, num_edge_dofs
 from tdglfem.output import (
     CONVERGENCE_HEADER,
     CSV_HEADER,
-    ensure_dir,
     format_convergence_csv,
     format_timeseries_csv,
     format_vtk_snapshot,
@@ -246,10 +245,3 @@ def test_convergence_csv():
     assert float(first[3]) == 0.25  # err_A
     assert float(first[11]) == 0.25  # rel_err_A = err/norm
     assert float(second[13]) == 0.125 * 0.125 / 4.0  # rel_err_psi
-
-
-def test_ensure_dir(tmp_path):
-    target = tmp_path / "a" / "b"
-    assert ensure_dir(str(target)) == str(target)
-    assert target.is_dir()
-    ensure_dir(str(target))  # idempotent
