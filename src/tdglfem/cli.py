@@ -162,12 +162,14 @@ def _cmd_run(args) -> int:
 def run_manufactured_convergence(resolutions=(8, 16, 32, 64), cfg=None):
     """Solve the manufactured problem on a halving mesh family with tau = 1/M.
 
-    Each level is ``cfg`` (a manufactured ``config.RunConfig``; every
-    scenario default when ``None``) at ``M`` = its resolution, built by
-    ``config.materialize``, and every level is built before the first
-    solve. ``cfg`` may not set the keys the study sets itself or never
-    reads: ``M``, ``tau``, ``mesh_file``, ``snapshots`` and
-    ``series_cadence``; ``config.ConfigError`` says which.
+    ``resolutions`` must hold at least two resolutions, the first at least 1
+    and each double the one before; ``config.ConfigError`` says which rule a
+    ladder breaks before any level is built. Each level is ``cfg`` (a
+    manufactured ``config.RunConfig``; every scenario default when ``None``)
+    at ``M`` = its resolution, built by ``config.materialize``, and every
+    level is built before the first solve. ``cfg`` may not set the keys the
+    study sets itself or never reads: ``M``, ``tau``, ``mesh_file``,
+    ``snapshots`` and ``series_cadence``; ``config.ConfigError`` says which.
 
     Returns ``(reports, rates)`` where ``reports`` is one error report per
     resolution (coarse to fine) and ``rates`` maps field name to observed
@@ -177,6 +179,11 @@ def run_manufactured_convergence(resolutions=(8, 16, 32, 64), cfg=None):
     from .diagnostics import ERROR_FIELDS, convergence_rates, error_norms
     from .stepper import run
 
+    if len(resolutions) < 2:
+        raise ConfigError("need at least two resolutions for rates")
+    if resolutions[0] < 1 or any(b != 2 * a for a, b in zip(resolutions, resolutions[1:])):
+        raise ConfigError("resolutions must start at 1 or more and double each time, "
+                          f"got {','.join(str(m) for m in resolutions)!r}")
     cfg = RunConfig(scenario="manufactured") if cfg is None else cfg
     if cfg.scenario != "manufactured":
         raise ConfigError("convergence study requires scenario = manufactured", key="scenario")
@@ -193,7 +200,7 @@ def run_manufactured_convergence(resolutions=(8, 16, 32, 64), cfg=None):
                                    h=1.0 / m, tau=level.params.tau))
     hs = [rep.h for rep in reports]
     rates = {
-        name: convergence_rates(hs, [getattr(rep, "err_" + name) for rep in reports])
+        name: convergence_rates(hs, [rep.err[name] for rep in reports])
         for name in ERROR_FIELDS
     }
     return reports, rates
@@ -208,12 +215,6 @@ def _cmd_convergence(args) -> int:
         resolutions = [int(tok) for tok in args.resolutions.split(",")]
     except ValueError:
         raise ConfigError(f"bad --resolutions value {args.resolutions!r}") from None
-    if len(resolutions) < 2:
-        raise ConfigError("need at least two resolutions for rates")
-    if resolutions[0] < 1 or any(b != 2 * a for a, b in zip(resolutions, resolutions[1:])):
-        raise ConfigError(
-            f"resolutions must start at 1 or more and double each time, got {args.resolutions!r}"
-        )
 
     reports, rates = run_manufactured_convergence(resolutions, cfg)
 
@@ -223,7 +224,7 @@ def _cmd_convergence(args) -> int:
     for k, rep in enumerate(reports):
         cells = [f"{round(1 / rep.h):>6}"]
         for name, rate in rates.items():  # keyed in ``diagnostics.ERROR_FIELDS`` order
-            cells.append(f"{getattr(rep, 'err_' + name):>12.4e}")
+            cells.append(f"{rep.err[name]:>12.4e}")
             cells.append(f"{rate[k - 1]:>6.2f}" if k else f"{'':>6}")
         print(" ".join(cells))
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -76,22 +77,17 @@ ERROR_FIELDS = ("A", "curl_A", "psi", "grad_psi")
 @dataclass(frozen=True)
 class ErrorReport:
     """L2 errors of one run against a reference solution, plus the reference
-    norms so relative errors can be formed. ``h`` is the mesh size parameter
-    the study varies (the reciprocal of the subdivisions per unit)."""
+    norms so relative errors can be formed, each a read-only mapping keyed by
+    :data:`ERROR_FIELDS`. ``h`` is the mesh size parameter the study varies
+    (the reciprocal of the subdivisions per unit)."""
 
     h: float
     tau: float
-    err_A: float
-    err_curl_A: float
-    err_psi: float
-    err_grad_psi: float
-    norm_A: float
-    norm_curl_A: float
-    norm_psi: float
-    norm_grad_psi: float
+    err: MappingProxyType[str, float]
+    norm: MappingProxyType[str, float]
 
     def relative(self, name: str) -> float:
-        return getattr(self, "err_" + name) / getattr(self, "norm_" + name)
+        return self.err[name] / self.norm[name]
 
 
 def error_norms(mesh: Mesh, A, psi, exact, t: float, *, h: float, tau: float) -> ErrorReport:
@@ -102,12 +98,12 @@ def error_norms(mesh: Mesh, A, psi, exact, t: float, *, h: float, tau: float) ->
     """
     A_q, curl = fem.evaluate_edge(mesh, A)
     psi_q, grad = fem.evaluate_nodal(mesh, psi)
-    report = {"h": h, "tau": tau}
+    err, norm = {}, {}
     for name, discrete in zip(ERROR_FIELDS, (A_q, curl, psi_q, grad)):
         ref = fem.at_quad(mesh, getattr(exact, name), t)
-        report["err_" + name] = math.sqrt(fem.squared_l2(mesh, discrete - ref))
-        report["norm_" + name] = math.sqrt(fem.squared_l2(mesh, ref))
-    return ErrorReport(**report)
+        err[name] = math.sqrt(fem.squared_l2(mesh, discrete - ref))
+        norm[name] = math.sqrt(fem.squared_l2(mesh, ref))
+    return ErrorReport(h, tau, MappingProxyType(err), MappingProxyType(norm))
 
 
 def convergence_rates(hs, errors) -> list[float]:

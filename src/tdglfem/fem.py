@@ -533,6 +533,7 @@ def assemble_Lhat(mesh: Mesh, A, kappa: float) -> sp.csr_matrix:
     local = np.empty(flow.shape, dtype=complex)
     local.real = -(_T4 @ _gram(ax, ay)).reshape(flow.shape)
     local.imag = (flow - flow.transpose(1, 0, 2)) / kappa
+    # the scatter is real: on the float view it runs faster than on a complex upcast, same bits
     data = (ops._nodal_scatter @ local.view(float).reshape(-1, 2)).view(complex).ravel()
     return ops.nodal_pattern.csr_from_data(data - ops._stiff_data / kappa**2)
 
@@ -549,7 +550,8 @@ def assemble_A_system(mesh: Mesh, psi, sigma: float, tau: float) -> sp.csr_matri
     ops = _ops(mesh)
     p = np.asarray(psi, dtype=complex)[ops.corner_vertices]
     weights = _T4 @ _gram(p.real, p.imag)  # integral(|psi|^2 lam_v lam_w) per unit area
-    # ``((sigma/tau) M + K) + W`` summed in that order, in one buffer
+    # ``((sigma/tau) M + K) + W`` in that order, in one buffer: the plain sum has the
+    # same bits but raised the lshape-adaptive peak RSS by about 0.4 MiB
     data = np.multiply(ops.mass.data, sigma / tau)
     data += ops._curl_data
     data += ops._mass_scatter @ weights.ravel()

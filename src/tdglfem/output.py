@@ -151,7 +151,7 @@ def format_convergence_csv(reports, rates: dict) -> str:
     for k, rep in enumerate(reports):
         cells = [repr(round(1.0 / rep.h)), repr(float(rep.h)), repr(float(rep.tau))]
         for name in ERROR_FIELDS:
-            cells.append(repr(float(getattr(rep, "err_" + name))))
+            cells.append(repr(float(rep.err[name])))
             cells.append("" if k == 0 else repr(float(rates[name][k - 1])))
         for name in ERROR_FIELDS:
             cells.append(repr(float(rep.relative(name))))

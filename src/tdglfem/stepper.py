@@ -199,6 +199,11 @@ class TimeSeriesRow:
     def total(self) -> float:
         return self.covariant + self.magnetic + self.potential
 
+    @property
+    def bounded(self) -> bool:
+        """``max_psi <= 1 + MBP_SLACK``, the modulus check; false for NaN."""
+        return self.max_psi <= 1.0 + MBP_SLACK
+
 
 @dataclass
 class SimulationState:
@@ -216,7 +221,6 @@ class SimulationState:
     n: int = 0
     history: list[TimeSeriesRow] = field(default_factory=list)
     violations: list[tuple[float, str, float]] = field(default_factory=list)
-    mbp_guaranteed: bool = True
     recent: RecentSpan = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -230,7 +234,9 @@ def initialize(mesh: Mesh, A0, psi0, params: SchemeParams) -> SimulationState:
     A mesh that :meth:`mesh.MeshAudit.refusal` refuses under
     ``params.strict_acute`` raises ``ValueError`` with its reason; a weakly
     acute mesh it accepts runs with a warning. Finite data whose energy
-    overflows is refused with ``ValueError`` naming the energy term.
+    overflows is refused with ``ValueError`` naming the energy term. A ``t = 0``
+    row that is not :attr:`~TimeSeriesRow.bounded` warns: :func:`run` leaves
+    the modulus check unarmed.
     """
     audit = audit_mesh(mesh)
     refusal = audit.refusal(params.strict_acute)
@@ -264,19 +270,18 @@ def initialize(mesh: Mesh, A0, psi0, params: SchemeParams) -> SimulationState:
 
     state = SimulationState(mesh=mesh, A=A, psi=psi)
     max_mod, idx = mbp_stats(psi)
-    if not (max_mod <= 1.0 + 1e-12):
-        warnings.warn(
-            f"initial order parameter has modulus {max_mod:.6g} > 1 at vertex "
-            f"{idx}; the unit modulus bound will be tracked but not enforced",
-            stacklevel=2,
-        )
-        state.mbp_guaranteed = False
     Lhat = fem.assemble_Lhat(mesh, A, params.kappa)
     row = TimeSeriesRow(0.0, 0.0, *discrete_energy(mesh, Lhat, A, psi, params.H, 0.0), max_mod)
     # a non-finite energy would also void the budget of every later energy check
     for term in ("covariant", "magnetic", "potential"):
         if not math.isfinite(getattr(row, term)):
             raise ValueError(f"initial {term} energy is not finite: {getattr(row, term)!r}")
+    if not row.bounded:
+        warnings.warn(
+            f"initial order parameter has modulus {max_mod!r} > 1 at vertex "
+            f"{idx}; the unit modulus bound will be tracked but not enforced",
+            stacklevel=2,
+        )
     state.history.append(row)
     return state
 
@@ -394,7 +399,7 @@ def run(
     g0 = state.history[0].total
     energy_budget = ENERGY_SLACK * max(1.0, abs(g0))
     check_energy = params.checks != "off" and params.dissipation_guaranteed
-    check_mbp = params.checks != "off" and state.mbp_guaranteed
+    check_mbp = params.checks != "off" and state.history[0].bounded
 
     try:
         while state.t < params.T - eps:
@@ -422,7 +427,7 @@ def run(
             if check_energy and not (row.total <= g_prev + energy_budget):
                 state.violations.append((t_new, "energy", row.total))
                 messages.append(f"energy grew from {g_prev!r} to {row.total!r} at t={t_new!r}")
-            if check_mbp and not (row.max_psi <= 1.0 + MBP_SLACK):
+            if check_mbp and not row.bounded:
                 state.violations.append((t_new, "modulus", row.max_psi))
                 messages.append(f"nodal modulus reached {row.max_psi!r} > 1 at t={t_new!r}")
             if messages:

@@ -240,7 +240,7 @@ def manufactured_orders(levels, step):
         reports.append(error_norms(level.mesh, state.A, state.psi, level.exact, state.t,
                                    h=1.0 / M, tau=tau))
     steps = [step(M, tau) for M, tau in levels]
-    return {name: convergence_rates(steps, [getattr(rep, "err_" + name) for rep in reports])
+    return {name: convergence_rates(steps, [rep.err[name] for rep in reports])
             for name in ERROR_FIELDS}
 
 

@@ -517,6 +517,20 @@ def test_convergence_validates_before_solving(tmp_path, capsys, monkeypatch, con
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("resolutions, message", [
+    ((8, 12), "double"),
+    ((0, 0), "double"),
+    ((16,), "at least two"),
+    ((), "at least two"),
+])
+def test_convergence_checks_the_ladder_before_building(monkeypatch, resolutions, message):
+    built = []
+    monkeypatch.setattr(tdglfem.config, "materialize", lambda cfg: built.append(cfg))
+    with pytest.raises(tdglfem.config.ConfigError, match=message):
+        tdglfem.cli.run_manufactured_convergence(resolutions)
+    assert built == []
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_convergence_levels_follow_the_config(tmp_path, monkeypatch):
     real_run, seen = tdglfem.stepper.run, []

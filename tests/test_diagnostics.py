@@ -81,11 +81,9 @@ def test_error_norms_zero_for_representable(square2):
     A = interpolate_edge(square2, lambda x, y: exact.A(x, y, 0.0))
     psi = interpolate_nodal(square2, lambda x, y: exact.psi(x, y, 0.0))
     rep = error_norms(square2, A, psi, exact, 0.0, h=0.5, tau=0.1)
-    assert rep.err_A < 1e-13
-    assert rep.err_curl_A < 1e-13
-    assert rep.err_psi < 1e-13
-    assert rep.err_grad_psi < 1e-13
-    assert rep.norm_A > 0
+    assert set(rep.err) == set(rep.norm) == set(ERROR_FIELDS)
+    assert all(rep.err[name] < 1e-13 for name in ERROR_FIELDS)
+    assert rep.norm["A"] > 0
     assert rep.h == 0.5 and rep.tau == 0.1
 
 
@@ -99,11 +97,11 @@ def test_error_norms_constant_exact(square2):
     rep = error_norms(square2, A, psi, exact, 0.0, h=0.5, tau=0.1)
     area = square2.cell_areas.sum()
     for name in ERROR_FIELDS:
-        assert getattr(rep, "err_" + name) < 1e-13
-        assert math.isfinite(getattr(rep, "norm_" + name))
-    assert rep.norm_A == pytest.approx(math.sqrt(5 * area), rel=1e-14)
-    assert rep.norm_psi == pytest.approx(math.sqrt(area), rel=1e-14)
-    assert rep.norm_curl_A == rep.norm_grad_psi == 0.0
+        assert rep.err[name] < 1e-13
+        assert math.isfinite(rep.norm[name])
+    assert rep.norm["A"] == pytest.approx(math.sqrt(5 * area), rel=1e-14)
+    assert rep.norm["psi"] == pytest.approx(math.sqrt(area), rel=1e-14)
+    assert rep.norm["curl_A"] == rep.norm["grad_psi"] == 0.0
 
 
 def test_error_norms_relative(square2):
@@ -113,7 +111,17 @@ def test_error_norms_relative(square2):
     rep = error_norms(square2, A, psi, exact, 0.0, h=0.5, tau=0.1)
     # zero numerical psi: absolute error equals the exact norm
     assert rep.relative("psi") == pytest.approx(1.0, rel=1e-12)
-    assert rep.err_psi == pytest.approx(rep.norm_psi, rel=1e-12)
+    assert rep.err["psi"] == pytest.approx(rep.norm["psi"], rel=1e-12)
+
+
+def test_error_report_is_read_only(square2):
+    exact = linear_exact()
+    A = interpolate_edge(square2, lambda x, y: exact.A(x, y, 0.0))
+    psi = np.zeros(square2.num_vertices, dtype=complex)
+    rep = error_norms(square2, A, psi, exact, 0.0, h=0.5, tau=0.1)
+    for mapping in (rep.err, rep.norm):
+        with pytest.raises(TypeError):
+            mapping["A"] = 0.0
 
 
 def test_convergence_rates_halving():

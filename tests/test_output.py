@@ -226,9 +226,8 @@ def test_vtk_deterministic(snapshot, tmp_path):
 
 
 def make_report(h):
-    return ErrorReport(h=h, tau=h, err_A=h, err_curl_A=2 * h, err_psi=h * h,
-                       err_grad_psi=3 * h, norm_A=1.0, norm_curl_A=2.0,
-                       norm_psi=4.0, norm_grad_psi=8.0)
+    return ErrorReport(h=h, tau=h, err={"A": h, "curl_A": 2 * h, "psi": h * h, "grad_psi": 3 * h},
+                       norm={"A": 1.0, "curl_A": 2.0, "psi": 4.0, "grad_psi": 8.0})
 
 
 def test_convergence_csv():

@@ -214,7 +214,7 @@ def test_manufactured_convergence_smoke():
         cfg = RunConfig(scenario="manufactured", T=0.5)
         reports, rates = run_manufactured_convergence((4, 8), cfg)
     assert len(reports) == 2
-    assert reports[1].err_psi < reports[0].err_psi
-    assert reports[1].err_A < reports[0].err_A
+    assert reports[1].err["psi"] < reports[0].err["psi"]
+    assert reports[1].err["A"] < reports[0].err["A"]
     assert set(rates) == {"A", "curl_A", "psi", "grad_psi"}
     assert all(len(v) == 1 for v in rates.values())

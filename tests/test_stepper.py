@@ -170,7 +170,7 @@ def test_initialize_refuses_obtuse():
 def test_initialize_warns_weakly_acute(square2):
     with pytest.warns(UserWarning, match="weakly acute"):
         state = initialize(square2, None, 1.0 + 0j, quiet_params())
-    assert state.mbp_guaranteed
+    assert state.history[0].bounded
 
 
 def test_initialize_strict_acute_rejects(square2):
@@ -190,7 +190,7 @@ def test_initialize_strictly_acute_mesh_quiet(recwarn):
 def test_initialize_large_psi0_disables_guarantee(square2):
     with pytest.warns(UserWarning, match="modulus"):
         state = initialize(square2, None, 2.0 + 0j, quiet_params())
-    assert not state.mbp_guaranteed
+    assert not state.history[0].bounded
 
 
 @pytest.mark.filterwarnings("ignore:mesh is weakly acute")
@@ -502,6 +502,40 @@ def test_mbp_violation_off(square2, monkeypatch):
     rigged_mbp(monkeypatch)
     state = run(square2, quiet_params(T=0.5, tau=0.25, checks="off"))
     assert not state.violations
+
+
+def rigged_mbp_after(monkeypatch, real_calls):
+    # the first ``real_calls`` calls (``initialize``'s, then one per step) are
+    # real, later ones report a modulus of 2
+    real, counter = stepper.mbp_stats, {"k": 0}
+
+    def fake(psi):
+        counter["k"] += 1
+        return real(psi) if counter["k"] <= real_calls else (2.0, 0)
+
+    monkeypatch.setattr(stepper, "mbp_stats", fake)
+
+
+@pytest.mark.filterwarnings("ignore:mesh is weakly acute")
+def test_initial_modulus_within_slack_arms_the_check(square2, monkeypatch, recwarn):
+    # 1 + 5e-11 passes the check's own tolerance 1 + MBP_SLACK, so the check is armed
+    rigged_mbp_after(monkeypatch, 2)
+    params = quiet_params(T=0.5, tau=0.25, checks="abort", psi0=1.0 + 5e-11)
+    with pytest.raises(ViolationError, match="^nodal modulus reached 2.0 > 1 at t=0.5$") as exc:
+        run(square2, params)
+    assert exc.value.state.history[0].bounded
+    assert not [w for w in recwarn if "not enforced" in str(w.message)]
+
+
+@pytest.mark.filterwarnings("ignore:mesh is weakly acute")
+def test_initial_modulus_above_slack_warns_and_disarms(square2, monkeypatch):
+    rigged_mbp_after(monkeypatch, 1)
+    params = quiet_params(T=0.5, tau=0.25, checks="abort", psi0=1.0 + 1e-9)
+    with pytest.warns(UserWarning, match=r"^initial order parameter has modulus 1\.000000001 > 1 "
+                                         r"at vertex 0; .* not enforced$"):
+        state = run(square2, params)
+    assert not state.history[0].bounded
+    assert state.n == 2 and not state.violations
 
 
 @pytest.mark.filterwarnings("ignore:mesh is weakly acute")
