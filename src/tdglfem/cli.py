@@ -120,13 +120,10 @@ def _cmd_run(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     cadence = cfg.series_cadence or 1
 
-    snap_counter = [0]
-
-    def on_snapshot(state, t_nominal):
-        name = f"snapshot_{snap_counter[0]:03d}.vtk"
+    def on_snapshot(state, k, t_nominal):
+        name = f"snapshot_{k:03d}.vtk"
         write_vtk_snapshot(os.path.join(out_dir, name), state.mesh, state.A, state.psi, state.t)
         print(f"snapshot {name} (t={state.t:g}, requested {t_nominal:g})")
-        snap_counter[0] += 1
 
     series = os.path.join(out_dir, "series.csv")
     try:
@@ -167,8 +164,9 @@ def run_manufactured_convergence(resolutions=(8, 16, 32, 64), cfg=None):
     ladder breaks before any level is built. Each level is ``cfg`` (a
     manufactured ``config.RunConfig``; every scenario default when ``None``)
     at ``M`` = its resolution, built by ``config.materialize``, and every
-    level is built before the first solve. ``cfg`` may not set the keys the
-    study sets itself or never reads: ``M``, ``tau``, ``mesh_file``,
+    level is built before the first solve, so a resolution that is not a
+    whole number is refused (``M``) before any run. ``cfg`` may not set the
+    keys the study sets itself or never reads: ``M``, ``tau``, ``mesh_file``,
     ``snapshots`` and ``series_cadence``; ``config.ConfigError`` says which.
 
     Returns ``(reports, rates)`` where ``reports`` is one error report per
@@ -190,7 +188,7 @@ def run_manufactured_convergence(resolutions=(8, 16, 32, 64), cfg=None):
     for key in ("M", "tau", "mesh_file", "snapshots", "series_cadence"):
         if getattr(cfg, key) is not None:
             raise ConfigError(f"{key} cannot be set for the convergence study", key=key)
-    levels = [materialize(replace(cfg, M=int(m))) for m in resolutions]
+    levels = [materialize(replace(cfg, M=m)) for m in resolutions]
 
     reports = []
     for m in resolutions:

@@ -18,8 +18,7 @@ config for the default scenario::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Callable
+from dataclasses import dataclass, field, fields, replace
 
 from . import scenarios
 from .mesh import load_mesh_file
@@ -36,28 +35,8 @@ class ConfigError(ValueError):
         self.key = key
 
 
-@dataclass
-class RunConfig:
-    """One run as written in a config file; ``None`` means scenario default."""
-
-    scenario: str = scenarios.DEFAULT_SCENARIO
-    M: int | None = None
-    mesh_file: str | None = None
-    kappa: float | None = None
-    sigma: float | None = None
-    H: float | None = None
-    mu: float | str | None = None
-    T: float | None = None
-    tau: float | str | None = None
-    alpha: float | None = None
-    tau_min: float | None = None
-    tau_max: float | None = None
-    psi0: complex | None = None
-    out: str | None = None
-    snapshots: tuple | None = None
-    series_cadence: int | None = None
-    strict_acute: bool = False
-    checks: str | None = None
+def _parse_text(raw, key):
+    return raw
 
 
 def _parse_bool(raw, key):
@@ -74,6 +53,10 @@ def _parse_float(raw, key):
         return float(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {raw!r}", key=key) from None
+
+
+def _parse_float_or(word):
+    return lambda raw, key: word if raw == word else _parse_float(raw, key)
 
 
 def _parse_int(raw, key):
@@ -102,30 +85,41 @@ def _parse_snapshots(raw, key):
     return times
 
 
-_PARSERS: dict[str, Callable] = {
-    "scenario": lambda raw, key: raw,
-    "M": _parse_int,
-    "mesh_file": lambda raw, key: raw,
-    "kappa": _parse_float,
-    "sigma": _parse_float,
-    "H": _parse_float,
-    "mu": lambda raw, key: "auto" if raw == "auto" else _parse_float(raw, key),
-    "T": _parse_float,
-    "tau": lambda raw, key: "adaptive" if raw == "adaptive" else _parse_float(raw, key),
-    "alpha": _parse_float,
-    "tau_min": _parse_float,
-    "tau_max": _parse_float,
-    "psi0": _parse_complex,
-    "out": lambda raw, key: raw,
-    "snapshots": _parse_snapshots,
-    "series_cadence": _parse_int,
-    "strict_acute": _parse_bool,
-    "checks": lambda raw, key: raw,
-}
+def _key(parse, default=None):
+    """A config key: its default and the parser ``parse(raw, key)`` of its value text."""
+    return field(default=default, metadata={"parse": parse})
+
+
+@dataclass
+class RunConfig:
+    """One run as written in a config file; ``None`` means scenario default.
+
+    Each field is a config key and carries the parser of its value text.
+    """
+
+    scenario: str = _key(_parse_text, scenarios.DEFAULT_SCENARIO)
+    M: int | None = _key(_parse_int)
+    mesh_file: str | None = _key(_parse_text)
+    kappa: float | None = _key(_parse_float)
+    sigma: float | None = _key(_parse_float)
+    H: float | None = _key(_parse_float)
+    mu: float | str | None = _key(_parse_float_or("auto"))
+    T: float | None = _key(_parse_float)
+    tau: float | str | None = _key(_parse_float_or("adaptive"))
+    alpha: float | None = _key(_parse_float)
+    tau_min: float | None = _key(_parse_float)
+    tau_max: float | None = _key(_parse_float)
+    psi0: complex | None = _key(_parse_complex)
+    out: str | None = _key(_parse_text)
+    snapshots: tuple | None = _key(_parse_snapshots)
+    series_cadence: int | None = _key(_parse_int)
+    strict_acute: bool = _key(_parse_bool, False)
+    checks: str | None = _key(_parse_text)
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse config text; strict about unknown and duplicate keys."""
+    parsers = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -140,11 +134,11 @@ def parse_config(text: str) -> RunConfig:
         key, _, rawval = line.partition("=")
         key = key.strip()
         rawval = rawval.strip()
-        if key not in _PARSERS:
+        if key not in parsers:
             raise ConfigError(f"line {lineno}: unknown key {key!r}", key=key)
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}", key=key)
-        values[key] = _PARSERS[key](rawval, key)
+        values[key] = parsers[key](rawval, key)
     return RunConfig(**values)
 
 

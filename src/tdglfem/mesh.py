@@ -183,7 +183,8 @@ def generate_uniform_square(M: int, domain=(0.0, 0.0, 1.0, 1.0), mask=None) -> M
     Parameters
     ----------
     M : int
-        Subdivisions per unit length, at least 1.
+        Subdivisions per unit length, a whole number at least 1 (``8.0`` and
+        ``np.int64(8)`` are; ``8.5`` raises ``ValueError``, never truncated).
     domain : (x0, y0, x1, y1)
         The rectangle, the unit square by default. Its side lengths must be
         whole multiples of ``1/M``.
@@ -191,9 +192,9 @@ def generate_uniform_square(M: int, domain=(0.0, 0.0, 1.0, 1.0), mask=None) -> M
         ``mask(cx, cy) -> bool array`` over grid-square centers; squares where
         it returns True are excluded.
     """
+    if not (float(M).is_integer() and M >= 1):
+        raise ValueError(f"M must be a positive integer, got {M!r}")
     M = int(M)
-    if M < 1:
-        raise ValueError("M must be a positive integer")
     rect = tuple(float(v) for v in domain)
     if len(rect) != 4:
         raise ValueError("domain tuple must be (x0, y0, x1, y1)")

@@ -130,7 +130,7 @@ def lshape_mesh(M: int) -> Mesh:
 
     ``M`` must be even so the reentrant corner lies on grid lines.
     """
-    if int(M) % 2:
+    if M % 2 == 1:  # a non-integral M is refused by the builder
         raise ValueError("lshape needs even M so the corner lies on grid lines")
     return generate_uniform_square(
         M, domain=(-0.5, -0.5, 0.5, 0.5), mask=lambda cx, cy: (cx > 0.0) & (cy < 0.0)

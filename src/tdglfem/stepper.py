@@ -40,6 +40,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -92,6 +93,14 @@ class NonFiniteStateError(RuntimeError):
 def _time_slack(T: float) -> float:
     """Time resolution of a run to ``T``: ``run`` stops within it of ``T``."""
     return 1e-9 * max(1.0, abs(T))
+
+
+def _warn(message: str):
+    """Warn at the first frame outside this module, the caller's own line."""
+    frame, level = sys._getframe(), 1
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 def _require_finite(**values):
@@ -209,6 +218,7 @@ class TimeSeriesRow:
 class SimulationState:
     """Full solver state after ``n`` accepted steps at time ``t``.
 
+    ``t`` and ``n`` are read off ``history``: the ``t = 0`` row, then one per step.
     ``violations`` holds one ``(t, check, value)`` per failed check, with
     ``check`` ``"energy"`` (``value`` the new energy) or ``"modulus"``
     (``value`` the largest nodal modulus).
@@ -217,8 +227,6 @@ class SimulationState:
     mesh: Mesh
     A: np.ndarray
     psi: np.ndarray
-    t: float = 0.0
-    n: int = 0
     history: list[TimeSeriesRow] = field(default_factory=list)
     violations: list[tuple[float, str, float]] = field(default_factory=list)
     recent: RecentSpan = field(init=False, repr=False)
@@ -226,6 +234,9 @@ class SimulationState:
     def __post_init__(self):
         self.recent = RecentSpan(len(self.A))
         self.recent.push(self.A)
+
+    t = property(lambda self: self.history[-1].t)
+    n = property(lambda self: len(self.history) - 1)
 
 
 def initialize(mesh: Mesh, A0, psi0, params: SchemeParams) -> SimulationState:
@@ -243,11 +254,8 @@ def initialize(mesh: Mesh, A0, psi0, params: SchemeParams) -> SimulationState:
     if refusal is not None:
         raise ValueError(f"{refusal}; refusing to run")
     if not audit.strictly_acute:
-        warnings.warn(
-            "mesh is weakly acute (right angles present): the modulus bound "
-            "is verified at runtime rather than guaranteed a priori",
-            stacklevel=2,
-        )
+        _warn("mesh is weakly acute (right angles present): the modulus bound "
+              "is verified at runtime rather than guaranteed a priori")
 
     if callable(psi0):
         psi = fem.interpolate_nodal(mesh, psi0)
@@ -277,11 +285,8 @@ def initialize(mesh: Mesh, A0, psi0, params: SchemeParams) -> SimulationState:
         if not math.isfinite(getattr(row, term)):
             raise ValueError(f"initial {term} energy is not finite: {getattr(row, term)!r}")
     if not row.bounded:
-        warnings.warn(
-            f"initial order parameter has modulus {max_mod!r} > 1 at vertex "
-            f"{idx}; the unit modulus bound will be tracked but not enforced",
-            stacklevel=2,
-        )
+        _warn(f"initial order parameter has modulus {max_mod!r} > 1 at vertex "
+              f"{idx}; the unit modulus bound will be tracked but not enforced")
     state.history.append(row)
     return state
 
@@ -375,9 +380,10 @@ def run(
 ) -> SimulationState:
     """Integrate from ``t = 0`` until ``t >= T``; returns the final state.
 
-    ``on_snapshot(state, t_nominal)`` fires once per requested time, at the
-    first accepted step reaching it (and immediately for times at or below
-    zero). The returned state carries the full per-step time series and any
+    ``on_snapshot(state, k, t_nominal)`` fires once per requested time, at
+    the first accepted step reaching it (and immediately for times at or
+    below zero); ``k`` numbers the sorted times from 0, equal ones apart.
+    The returned state carries the full per-step time series and any
     recorded violations; whether violations warn or abort is set by
     ``params.checks``. A step that is not finite raises
     :class:`NonFiniteStateError` before any check runs. Whatever stops the
@@ -385,14 +391,14 @@ def run(
     interrupt) propagates with ``state``, the accepted steps, attached.
     """
     state = initialize(mesh, params.A0, params.psi0, params)
-    pending = sorted(float(s) for s in snapshot_times)
+    pending = list(enumerate(sorted(float(s) for s in snapshot_times)))
     eps = _time_slack(params.T)
 
     def emit_due():
-        while pending and pending[0] <= state.t + eps:
+        while pending and pending[0][1] <= state.t + eps:
+            k, t_nominal = pending.pop(0)
             if on_snapshot is not None:
-                on_snapshot(state, pending[0])
-            pending.pop(0)
+                on_snapshot(state, k, t_nominal)
 
     emit_due()
 
@@ -433,9 +439,8 @@ def run(
             if messages:
                 if params.checks == "abort":
                     raise ViolationError("; ".join(messages))
-                warnings.warn("; ".join(messages), stacklevel=2)
-            state.A, state.psi, state.t = A_new, psi_new, t_new
-            state.n += 1
+                _warn("; ".join(messages))
+            state.A, state.psi = A_new, psi_new
             state.history.append(row)
             state.recent.push(A_new)
             emit_due()

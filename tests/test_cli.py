@@ -531,6 +531,17 @@ def test_convergence_checks_the_ladder_before_building(monkeypatch, resolutions,
     assert built == []
 
 
+def test_convergence_refuses_a_non_integral_ladder(monkeypatch):
+    # (8.5, 17.0) doubles, but M = 8.5 would have run as M = 8 and reported h = 1/8.5
+    def never(*args, **kwargs):
+        raise AssertionError("the time loop started")
+
+    monkeypatch.setattr(tdglfem.stepper, "run", never)
+    with pytest.raises(tdglfem.config.ConfigError, match="got 8.5") as exc:
+        tdglfem.cli.run_manufactured_convergence((8.5, 17.0))
+    assert exc.value.key == "M"
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_convergence_levels_follow_the_config(tmp_path, monkeypatch):
     real_run, seen = tdglfem.stepper.run, []

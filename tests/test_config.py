@@ -1,10 +1,12 @@
 import re
-from dataclasses import fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import tdglfem.config
 from tdglfem.cli import run_manufactured_convergence
 from tdglfem.config import (
     ConfigError,
@@ -79,6 +81,19 @@ def test_parse_bad_values(text, key):
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     assert exc.value.key == key
+
+
+def test_a_field_carries_its_own_parser(monkeypatch):
+    # parse_config reads the keys and their parsers off RunConfig's fields,
+    # so a field added there can be set from a file with nothing else to update
+    assert all(callable(f.metadata["parse"]) for f in fields(RunConfig))
+
+    @dataclass
+    class Extended(RunConfig):
+        extra: int | None = field(default=None, metadata={"parse": lambda raw, key: 2 * int(raw)})
+
+    monkeypatch.setattr(tdglfem.config, "RunConfig", Extended)
+    assert parse_config("M = 4\nextra = 3\n") == Extended(M=4, extra=6)
 
 
 def test_parse_unknown_key_reports_line():
@@ -226,6 +241,17 @@ def test_materialize_adaptive_keys_need_adaptive_tau():
     with pytest.raises(ConfigError, match="alpha only applies") as exc:
         materialize(parse_config("scenario = lshape\nM = 4\ntau = 0.1\nalpha = 1e4\n"))
     assert exc.value.key == "alpha"
+
+
+def test_materialize_refuses_a_non_integral_m():
+    # the mesh and the step 1/M read the same M, so M = 8.5 is refused, not run as M = 8
+    with pytest.raises(ConfigError, match="M must be a positive integer, got 8.5") as exc:
+        materialize(RunConfig(scenario="manufactured", M=8.5))
+    assert exc.value.key == "M"
+    for M in (8.0, np.int64(8)):
+        prepared = materialize(RunConfig(scenario="manufactured", M=M))
+        assert prepared.mesh.num_cells == 128
+        assert prepared.params.tau == 0.125
 
 
 def test_materialize_odd_lshape_m():

@@ -234,6 +234,27 @@ def test_initialize_records_t0(square2):
     assert not state.violations
 
 
+def test_state_clock_is_read_off_the_history(square2):
+    with pytest.raises(TypeError):
+        stepper.SimulationState(mesh=square2, A=np.zeros(num_edge_dofs(square2)),
+                                psi=np.ones(square2.num_vertices, complex), t=1.0)
+    with pytest.warns(UserWarning):
+        state = run(square2, quiet_params(T=1.0, tau=AdaptiveTau(tau_min=0.1, tau_max=0.3)))
+    assert state.n == len(state.history) - 1 > 1
+    assert state.t == state.history[-1].t >= 1.0
+
+
+def test_warnings_name_the_callers_line():
+    # through ``run`` as well as from ``initialize``, the line named is the
+    # caller's, not one inside the stepper
+    with pytest.warns(UserWarning) as record:
+        run(lshape_mesh(4), SchemeParams(kappa=10, T=0.2, tau=0.1, psi0=2.0))
+    messages = [str(w.message) for w in record]
+    assert any("weakly acute" in m for m in messages)
+    assert any("not enforced" in m for m in messages)
+    assert {w.filename for w in record} == {__file__}
+
+
 def test_initialize_A0_variants(square2):
     params = quiet_params()
     vec = interpolate_edge(square2, lambda x, y: (-y, x))
@@ -422,9 +443,18 @@ def test_snapshots_fire_once_each(square2):
             square2,
             params,
             snapshot_times=(0.0, 0.45),
-            on_snapshot=lambda state, t_nom: seen.append((t_nom, state.t)),
+            on_snapshot=lambda state, k, t_nom: seen.append((k, t_nom, state.t)),
         )
-    assert seen == [(0.0, 0.0), (0.45, 0.5)]
+    assert seen == [(0, 0.0, 0.0), (1, 0.45, 0.5)]
+
+
+@pytest.mark.filterwarnings("ignore:mesh is weakly acute")
+def test_snapshots_are_numbered_by_run(square2):
+    # the index is the snapshot's place in the sorted schedule, so equal times stay apart
+    seen = []
+    run(square2, quiet_params(T=1.0, tau=0.25), snapshot_times=(0.45, 0.0, 0.0),
+        on_snapshot=lambda state, k, t_nom: seen.append((k, t_nom, state.n)))
+    assert seen == [(0, 0.0, 0), (1, 0.0, 0), (2, 0.45, 2)]
 
 
 # -- violation handling ----------------------------------------------------------
