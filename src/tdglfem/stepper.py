@@ -371,36 +371,21 @@ def adaptive_tau(energies, tau_prev: float, policy: AdaptiveTau) -> float:
     return max(policy.tau_min, tau)
 
 
-def run(
-    mesh: Mesh,
-    params: SchemeParams,
-    *,
-    snapshot_times=(),
-    on_snapshot: Callable | None = None,
-) -> SimulationState:
+def run(mesh: Mesh, params: SchemeParams, *, on_step: Callable | None = None) -> SimulationState:
     """Integrate from ``t = 0`` until ``t >= T``; returns the final state.
 
-    ``on_snapshot(state, k, t_nominal)`` fires once per requested time, at
-    the first accepted step reaching it (and immediately for times at or
-    below zero); ``k`` numbers the sorted times from 0, equal ones apart.
-    The returned state carries the full per-step time series and any
+    ``on_step(state)`` is called on the ``t = 0`` state and after each accepted
+    step. The returned state carries the full per-step time series and any
     recorded violations; whether violations warn or abort is set by
     ``params.checks``. A step that is not finite raises
     :class:`NonFiniteStateError` before any check runs. Whatever stops the
     loop (a solver error, an aborting check, a non-finite value, an
-    interrupt) propagates with ``state``, the accepted steps, attached.
+    interrupt, an observer's error after a step) propagates with ``state``,
+    the accepted steps, attached.
     """
+    on_step = on_step or (lambda state: None)
     state = initialize(mesh, params.A0, params.psi0, params)
-    pending = list(enumerate(sorted(float(s) for s in snapshot_times)))
-    eps = _time_slack(params.T)
-
-    def emit_due():
-        while pending and pending[0][1] <= state.t + eps:
-            k, t_nominal = pending.pop(0)
-            if on_snapshot is not None:
-                on_snapshot(state, k, t_nominal)
-
-    emit_due()
+    on_step(state)
 
     g0 = state.history[0].total
     energy_budget = ENERGY_SLACK * max(1.0, abs(g0))
@@ -408,7 +393,7 @@ def run(
     check_mbp = params.checks != "off" and state.history[0].bounded
 
     try:
-        while state.t < params.T - eps:
+        while state.t < params.T - _time_slack(params.T):
             if isinstance(params.tau, AdaptiveTau):
                 # the energies after the last two accepted steps; the t = 0 row is not a step
                 last_two = state.history[max(1, len(state.history) - 2):]
@@ -443,7 +428,7 @@ def run(
             state.A, state.psi = A_new, psi_new
             state.history.append(row)
             state.recent.push(A_new)
-            emit_due()
+            on_step(state)
     except BaseException as exc:
         exc.state = state  # the accepted steps, for the caller to keep
         raise

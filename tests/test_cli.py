@@ -12,9 +12,10 @@ import tdglfem.config
 import tdglfem.linalg
 import tdglfem.scenarios
 import tdglfem.stepper
-from tdglfem.cli import _THREAD_VARS, main
+from tdglfem.cli import _THREAD_VARS, _snapshot_schedule, main
 from tdglfem.mesh import Mesh, format_native
 from tdglfem.output import CSV_HEADER
+from tdglfem.stepper import SchemeParams, run
 
 
 def cleared_thread_vars(monkeypatch):
@@ -266,6 +267,25 @@ def test_run_rejects_snapshot_after_T(tmp_path, capsys):
     assert main(["run", "--config", cfg]) == 2
     assert "snapshot time 5.0 is after T = 0.1" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.filterwarnings("ignore:mesh is weakly acute")
+def test_snapshots_fire_once_each(square2):
+    seen = []
+    params = SchemeParams(kappa=1.0, T=1.0, tau=0.25)
+    run(square2, params, on_step=_snapshot_schedule(
+        (0.0, 0.45), params.T, lambda state, k, t_nom: seen.append((k, t_nom, state.t))))
+    assert seen == [(0, 0.0, 0.0), (1, 0.45, 0.5)]
+
+
+@pytest.mark.filterwarnings("ignore:mesh is weakly acute")
+def test_snapshots_are_numbered_by_run(square2):
+    # the index is the snapshot's place in the sorted schedule, so equal times stay apart
+    seen = []
+    params = SchemeParams(kappa=1.0, T=1.0, tau=0.25)
+    run(square2, params, on_step=_snapshot_schedule(
+        (0.45, 0.0, 0.0), params.T, lambda state, k, t_nom: seen.append((k, t_nom, state.n))))
+    assert seen == [(0, 0.0, 0), (1, 0.0, 0), (2, 0.45, 2)]
 
 
 def test_run_rejects_step_below_time_resolution(tmp_path, capsys, monkeypatch):

@@ -178,6 +178,39 @@ def test_recent_span_start_solves_within_span(rng):
     np.testing.assert_allclose(span.start(A, A @ x), x, rtol=0, atol=1e-12 * np.abs(x).max())
 
 
+def test_recent_span_stays_orthonormal_near_a_steady_state():
+    # pushes that settle onto a steady state, each carrying noise of 1e-12 of its norm, as
+    # CG-tolerance noise does; two Gram-Schmidt passes alone let this span collapse at push
+    # 5,755, where the start's solve found Q S Q^T singular
+    n = 4736
+    rng = np.random.default_rng(0)
+    steady, modes = rng.standard_normal(n), rng.standard_normal((4, n))
+    rates = np.array([0.05, 0.1, 0.2, 0.4])
+    S = sp.diags(rng.uniform(0.5, 2.0, n))
+    b = rng.standard_normal(n)
+    span = RecentSpan(n)
+    worst = 0.0
+    for k in range(8000):
+        noise = 1e-12 * np.linalg.norm(steady) * rng.standard_normal(n) / math.sqrt(n)
+        span.push(steady + np.exp(-rates * 0.02 * k) @ modes + noise)
+        Q = span.Q[: span.k]
+        worst = max(worst, np.abs(Q @ Q.T - np.eye(span.k)).max())
+        assert np.isfinite(span.start(S, b)).all(), k
+    assert worst <= 1e-11
+
+
+def test_recent_span_restarts_a_collapsed_basis(rng):
+    A = random_spd(30, rng)
+    span = RecentSpan(30)
+    for _ in range(3):
+        span.push(rng.standard_normal(30))
+    x = span.newest
+    span.Q[1] = 0.0  # Q S Q^T is now singular
+    start = span.start(A, A @ x)
+    assert span.k == 1
+    np.testing.assert_allclose(start, x, rtol=0, atol=1e-12 * np.abs(x).max())
+
+
 def a_system(mesh, tau, rng):
     n = mesh.num_vertices
     psi = rng.uniform(0, 1, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))

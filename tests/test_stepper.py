@@ -435,26 +435,29 @@ def test_adaptive_reads_two_energies(monkeypatch):
     assert len(set(row.tau for row in state.history[1:])) > 3
 
 
-def test_snapshots_fire_once_each(square2):
+def test_on_step_sees_t0_then_each_accepted_step(square2):
     seen = []
-    params = quiet_params(T=1.0, tau=0.25)
     with pytest.warns(UserWarning):
-        run(
-            square2,
-            params,
-            snapshot_times=(0.0, 0.45),
-            on_snapshot=lambda state, k, t_nom: seen.append((k, t_nom, state.t)),
-        )
-    assert seen == [(0, 0.0, 0.0), (1, 0.45, 0.5)]
+        state = run(square2, quiet_params(T=1.0, tau=0.25),
+                    on_step=lambda s: seen.append((s, s.n, s.t)))
+    assert seen == [(state, n, 0.25 * n) for n in range(5)]
 
 
 @pytest.mark.filterwarnings("ignore:mesh is weakly acute")
-def test_snapshots_are_numbered_by_run(square2):
-    # the index is the snapshot's place in the sorted schedule, so equal times stay apart
-    seen = []
-    run(square2, quiet_params(T=1.0, tau=0.25), snapshot_times=(0.45, 0.0, 0.0),
-        on_snapshot=lambda state, k, t_nom: seen.append((k, t_nom, state.n)))
-    assert seen == [(0, 0.0, 0), (1, 0.0, 0), (2, 0.45, 2)]
+def test_observer_error_keeps_the_accepted_steps(square2):
+    def fails_at(n):
+        def on_step(state):
+            if state.n == n:
+                raise RuntimeError(f"observer failed at step {n}")
+        return on_step
+
+    with pytest.raises(RuntimeError, match="step 3") as err:
+        run(square2, quiet_params(T=1.0, tau=0.25), on_step=fails_at(3))
+    assert err.value.state.n == 3
+    # the t = 0 call comes before the loop: there are no accepted steps to attach
+    with pytest.raises(RuntimeError, match="step 0") as err:
+        run(square2, quiet_params(T=1.0, tau=0.25), on_step=fails_at(0))
+    assert not hasattr(err.value, "state")
 
 
 # -- violation handling ----------------------------------------------------------
